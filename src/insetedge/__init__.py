@@ -15,14 +15,13 @@ from .matrixform import CoefficientMatrix, build_F, delta_via_matrix
 from .oracle import (
     SimpleGraph,
     delta_oracle,
-    set_distance,
     tree_plus_edge,
     wiener_brute,
     wiener_tree_linear,
 )
 from .randgen import Corpus, SplitMix64, leaf_stats, random_labeled_tree
 from .search import SearchReport, best_edge, candidate_pairs, pruning_ratio
-from .sweep import SweepState, init_sweep, step_diagonal, step_shift, sweep_path
+from .sweep import SweepState, init_sweep, step_diagonal, sweep_path
 from .tree import (
     CycleAnatomy,
     Tree,
@@ -72,9 +71,7 @@ __all__ = [
     "pruning_ratio",
     "random_labeled_tree",
     "serialize_tree",
-    "set_distance",
     "step_diagonal",
-    "step_shift",
     "sweep_path",
     "tree_plus_edge",
     "wiener_brute",

@@ -144,8 +144,12 @@ class ExhaustiveScan:
     lower_bound_ok: bool  # delta >= 1 everywhere, == 1 iff leaves at distance 2
 
 
+# trees per vectorized batch in exhaustive_scan
+_SCAN_BATCH = 2048
+
+
 @lru_cache(maxsize=None)
-def exhaustive_scan(n: int, batch: int = 2048) -> ExhaustiveScan:
+def exhaustive_scan(n: int) -> ExhaustiveScan:
     """Scan all n^(n-2) labeled trees (Prüfer enumeration) and all candidate
     pairs.  Savings come from the tree distance matrix: the new distance is
     the old one or a route through the added edge, vectorized over batches."""
@@ -212,7 +216,7 @@ def exhaustive_scan(n: int, batch: int = 2048) -> ExhaustiveScan:
     pending: list[tuple[int, ...]] = []
     for code in product(range(n), repeat=n - 2):
         pending.append(code)
-        if len(pending) == batch:
+        if len(pending) == _SCAN_BATCH:
             flush(pending)
             pending = []
     if pending:

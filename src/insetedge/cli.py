@@ -21,7 +21,7 @@ from .counting import OpCounter
 from .delta import ad_prime, delta_direct, delta_term_count
 from .errors import InsetEdgeError
 from .matrixform import delta_via_matrix
-from .oracle import SimpleGraph, delta_oracle, wiener_brute
+from .oracle import delta_oracle, wiener_tree_linear
 from .randgen import Corpus, exact_leaf_mean, leaf_stats
 from .search import best_edge, pruning_ratio
 from .sweep import sweep_path
@@ -30,6 +30,13 @@ from .tree import Tree, anatomize, parse_tree, path_between, serialize_tree
 
 def _frac(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def _load(path: str) -> Tree:
@@ -50,7 +57,7 @@ def _record_payload(rec) -> dict:
 
 def _cmd_wiener(args) -> dict:
     tree = _load(args.file)
-    d = wiener_brute(SimpleGraph.from_tree(tree))
+    d = wiener_tree_linear(tree)
     pairs = tree.n * (tree.n - 1) // 2
     ad = Fraction(d, pairs) if pairs else Fraction(0)
     return {
@@ -279,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("random", help="seeded random-tree corpus and statistics")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--stats", choices=("leaves", "pruning"), default=None)
     p.set_defaults(func=_cmd_random)

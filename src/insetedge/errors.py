@@ -33,10 +33,6 @@ class Disconnected(InsetEdgeError):
     """Graph is not connected."""
 
 
-class EmptySet(InsetEdgeError):
-    """Vertex set argument is empty."""
-
-
 class KTooSmall(InsetEdgeError):
     """Cycle length below 3."""
 

@@ -4,7 +4,8 @@ F_k is the k' x k' matrix of per-pair saving coefficients (k' = k // 2).
 It is D_k (entries 2*(k'-i-j+1) on i+j <= k', zero elsewhere) plus, for odd
 k, the anti-triangular all-ones matrix O_k (ones on i+j <= k'+1).  The
 savings equal the norm one (sum of entries) of the entrywise product of F_k
-with the outer product of the two weight vectors.
+with the outer product of the two weight vectors.  The evaluation streams
+over the nonzero anti-triangle of F_k and never materializes the matrix.
 """
 
 from __future__ import annotations
@@ -15,10 +16,6 @@ from typing import Optional
 from .counting import OpCounter
 from .errors import KTooSmall
 from .tree import CycleAnatomy
-
-# Above this k' the matrix is not materialized; the same sum is computed
-# streamingly.  F_k never needs O(k^2) memory for large audits.
-MATERIALIZE_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -73,34 +70,22 @@ def build_F(k: int) -> CoefficientMatrix:
     return CoefficientMatrix(k, kp, rows)
 
 
-def delta_via_matrix(
-    anatomy: CycleAnatomy,
-    cap: int = MATERIALIZE_CAP,
-    counter: Optional[OpCounter] = None,
-) -> int:
-    """Norm one of F_k entrywise-multiplied with the weight outer product."""
-    k = anatomy.k
+def delta_via_matrix(anatomy: CycleAnatomy, counter: Optional[OpCounter] = None) -> int:
+    """Norm one of F_k entrywise-multiplied with the weight outer product.
+
+    Only the nonzero anti-triangle of F_k is visited: j <= k'+1-i for odd k,
+    j <= k'-i for even k.  Entries come from the D_k / O_k definitions.
+    """
     kp = anatomy.k_prime
+    odd = anatomy.k % 2
     wx = anatomy.weights_x
     wy = anatomy.weights_y
     total = 0
-    if kp <= cap:
-        entries = build_F(k).entries
-        for i in range(kp):
-            row = entries[i]
-            wxi = wx[i]
-            for j in range(kp):
-                total += row[j] * wxi * wy[j]
-        if counter is not None:
-            counter.add(kp * kp)
-    else:
-        odd = k % 2
-        for i in range(1, kp + 1):
-            wxi = wx[i - 1]
-            for j in range(1, kp + 1):
-                f = _d_entry(kp, i, j) + (odd and _o_entry(kp, i, j))
-                if f:
-                    total += f * wxi * wy[j - 1]
-        if counter is not None:
-            counter.add(kp * kp)
+    for i in range(1, kp + 1):
+        wxi = wx[i - 1]
+        for j in range(1, kp + odd - i + 1):
+            f = _d_entry(kp, i, j) + (odd and _o_entry(kp, i, j))
+            total += f * wxi * wy[j - 1]
+    if counter is not None:
+        counter.add(kp * kp)
     return total

@@ -10,7 +10,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import AdjacentPair, Disconnected, EmptySet, SameVertex
+from .errors import AdjacentPair, Disconnected, SameVertex
 from .tree import Tree
 
 
@@ -36,6 +36,7 @@ class SimpleGraph:
 
 def tree_plus_edge(tree: Tree, x: int, y: int) -> SimpleGraph:
     """The unicyclic graph obtained by adding edge (x, y) to the tree."""
+    tree.check_ids(x, y)
     adj = [list(a) for a in tree.adjacency]
     adj[x].append(y)
     adj[y].append(x)
@@ -102,29 +103,10 @@ def delta_oracle(tree: Tree, x: int, y: int) -> int:
     """Wiener decrease caused by adding edge (x, y): brute force before/after."""
     if x == y:
         raise SameVertex(f"x == y == {x}")
+    tree.check_ids(x, y)
     if y in tree.adjacency[x]:
         raise AdjacentPair(f"({x}, {y}) is an edge of the tree")
     before = wiener_brute(SimpleGraph.from_tree(tree))
     after = wiener_brute(tree_plus_edge(tree, x, y))
     return before - after
 
-
-def set_distance(graph: SimpleGraph, a: set[int], b: set[int]) -> int:
-    """Sum of d(u, v) over unordered pairs {u, v} with u in A, v in B, u != v.
-
-    Each qualifying pair is counted once: full cross-sum for disjoint sets,
-    within-set pairs once when the sets overlap.
-    """
-    if not a or not b:
-        raise EmptySet("A and B must be non-empty")
-    dist = {s: _bfs(graph, s) for s in a | b}
-    total = 0
-    support = sorted(a | b)
-    for i, u in enumerate(support):
-        for v in support[i + 1 :]:
-            if (u in a and v in b) or (u in b and v in a):
-                d = dist[u][v]
-                if d < 0:
-                    raise Disconnected(f"no path {u}..{v}")
-                total += d
-    return total

@@ -75,25 +75,6 @@ def prufer_decode(n: int, code: Sequence[int]) -> list[tuple[int, int]]:
     return edges
 
 
-def prufer_encode(n: int, edges: Sequence[tuple[int, int]]) -> list[int]:
-    """Prüfer sequence of a labeled tree (inverse of prufer_decode)."""
-    adj = [set() for _ in range(n)]
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    heap = [v for v in range(n) if len(adj[v]) == 1]
-    heapq.heapify(heap)
-    code = []
-    for _ in range(n - 2):
-        leaf = heapq.heappop(heap)
-        neighbor = adj[leaf].pop()
-        adj[neighbor].discard(leaf)
-        code.append(neighbor)
-        if len(adj[neighbor]) == 1:
-            heapq.heappush(heap, neighbor)
-    return code
-
-
 def random_labeled_tree(n: int, seed: int) -> Tree:
     """Uniform over all n^(n-2) labeled trees; deterministic per seed."""
     if n < 2:

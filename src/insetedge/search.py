@@ -31,20 +31,21 @@ class SearchReport:
     strategy: str
 
 
-def _non_adjacent_pairs(tree: Tree) -> list[tuple[int, int]]:
-    edge_set = set(tree.edges)
-    return [
-        (u, v)
-        for u in range(tree.n)
-        for v in range(u + 1, tree.n)
-        if (u, v) not in edge_set
-    ]
+def _non_adjacent_count(tree: Tree) -> int:
+    # C(n, 2) pairs minus the n-1 tree edges
+    return (tree.n - 1) * (tree.n - 2) // 2
 
 
 def candidate_pairs(tree: Tree, strategy: str = "exhaustive") -> list[tuple[int, int]]:
     """Candidate shortcut edges: all non-adjacent pairs, or the leaf-pruned
     subset."""
-    pairs = _non_adjacent_pairs(tree)
+    edge_set = set(tree.edges)
+    pairs = [
+        (u, v)
+        for u in range(tree.n)
+        for v in range(u + 1, tree.n)
+        if (u, v) not in edge_set
+    ]
     if strategy != "pruned":
         return pairs
     deg = [len(a) for a in tree.adjacency]
@@ -64,7 +65,7 @@ def best_edge(tree: Tree, strategy: str = "exhaustive") -> SearchReport:
         raise ValueError(f"unknown strategy {strategy!r}")
     if tree.n <= 3:
         raise NoCandidates(f"n={tree.n}")
-    total = len(_non_adjacent_pairs(tree))
+    total = _non_adjacent_count(tree)
     cands = candidate_pairs(tree, "pruned" if strategy == "pruned" else "exhaustive")
     if not cands:
         raise NoCandidates(f"n={tree.n}")
@@ -97,8 +98,6 @@ def pruning_ratio(tree: Tree) -> Fraction:
     """Fraction of non-adjacent pairs skipped by the pruned strategy."""
     if tree.n <= 3:
         raise NoCandidates(f"n={tree.n}")
-    total = len(_non_adjacent_pairs(tree))
-    if total == 0:
-        raise NoCandidates(f"n={tree.n}")
+    total = _non_adjacent_count(tree)
     kept = len(candidate_pairs(tree, "pruned"))
     return Fraction(total - kept, total)

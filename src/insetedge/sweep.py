@@ -157,50 +157,6 @@ def shift_gain(state: SweepState, side: str, counter: Optional[OpCounter] = None
     return cross - a[0] * pref[row_limit - 1]
 
 
-def step_shift(state: SweepState, side: str, counter: Optional[OpCounter] = None) -> SweepState:
-    """Move the shortcut edge from (x1, y1) to (x2, y1) (side='x') or
-    (x1, y2) (side='y'): k -> k-1."""
-    gain = shift_gain(state, side, counter)
-    wx, wy = state.weights_x, state.weights_y
-    kp = state.k // 2
-    if side == "x":
-        merged = (wx[0] + wx[1],) + wx[2:]
-        if state.k % 2 == 0:
-            # k-1 odd: the deepest y vertex becomes the middle
-            new_wx = merged
-            new_wy = wy[: kp - 1]
-            new_mid = wy[kp - 1]
-        else:
-            # k-1 even: the old middle joins the x side
-            new_wx = merged + (state.weight_middle,)
-            new_wy = wy
-            new_mid = None
-        new_lo, new_hi = state.lo + 1, state.hi
-    else:
-        merged = (wy[0] + wy[1],) + wy[2:]
-        if state.k % 2 == 0:
-            new_wy = merged
-            new_wx = wx[: kp - 1]
-            new_mid = wx[kp - 1]
-        else:
-            new_wy = merged + (state.weight_middle,)
-            new_wx = wx
-            new_mid = None
-        new_lo, new_hi = state.lo, state.hi - 1
-    new_k = state.k - 1
-    return replace(
-        state,
-        lo=new_lo,
-        hi=new_hi,
-        k=new_k,
-        weights_x=new_wx,
-        weights_y=new_wy,
-        weight_middle=new_mid,
-        delta=state.delta + gain,
-        o_norm=_o_norm(new_k // 2, new_wx, new_wy, counter),
-    )
-
-
 def sweep_path(
     tree: Tree, x: int, y: int, counter: Optional[OpCounter] = None
 ) -> list[DeltaRecord]:

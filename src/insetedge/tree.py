@@ -7,7 +7,6 @@ stored 0-based in tuples: x_side[0] is the x anchor itself.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -49,22 +48,18 @@ class Tree:
             norm.append(key)
             adj[u].append(v)
             adj[v].append(u)
+        tree = cls(n, tuple(sorted(norm)), tuple(tuple(a) for a in adj))
         # n-1 edges and no duplicates: connected iff acyclic
-        if n > 0:
-            reached = 1
-            visited = [False] * n
-            visited[0] = True
-            queue = deque([0])
-            while queue:
-                u = queue.popleft()
-                for w in adj[u]:
-                    if not visited[w]:
-                        visited[w] = True
-                        reached += 1
-                        queue.append(w)
-            if reached != n:
-                raise NotATree(f"graph is disconnected ({reached} of {n} reached)")
-        return cls(n, tuple(sorted(norm)), tuple(tuple(a) for a in adj))
+        reached = len(_rooted(tree, 0)[1])
+        if reached != n:
+            raise NotATree(f"graph is disconnected ({reached} of {n} reached)")
+        return tree
+
+    def check_ids(self, *ids: int) -> None:
+        """Raise IdOutOfRange unless every id is a vertex 0..n-1."""
+        for v in ids:
+            if not 0 <= v < self.n:
+                raise IdOutOfRange(f"vertex {v} with n={self.n}")
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -136,82 +131,73 @@ def serialize_tree(tree: Tree) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _rooted(tree: Tree, root: int) -> tuple[list[int], list[int]]:
+    """One BFS from root: parent pointers (parent[root] == root, -1 for
+    vertices not reached) and the visit order, in which every vertex comes
+    after its parent."""
+    parent = [-1] * tree.n
+    parent[root] = root
+    order = [root]
+    adj = tree.adjacency
+    for u in order:
+        for w in adj[u]:
+            if parent[w] < 0:
+                parent[w] = u
+                order.append(w)
+    return parent, order
+
+
+def _walk_up(parent: list[int], v: int) -> list[int]:
+    """The path from v to the root, following parent pointers."""
+    path = [v]
+    while parent[v] != v:
+        v = parent[v]
+        path.append(v)
+    return path
+
+
 def bfs_distances(tree: Tree, source: int) -> list[int]:
     """Distances from source to every vertex."""
-    if not (0 <= source < tree.n):
-        raise IdOutOfRange(f"source {source} with n={tree.n}")
-    dist = [-1] * tree.n
-    dist[source] = 0
-    queue = deque([source])
-    adj = tree.adjacency
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for w in adj[u]:
-            if dist[w] < 0:
-                dist[w] = du + 1
-                queue.append(w)
+    tree.check_ids(source)
+    parent, order = _rooted(tree, source)
+    dist = [0] * tree.n
+    for v in order[1:]:
+        dist[v] = dist[parent[v]] + 1
     return dist
+
+
+def _check_pair(tree: Tree, x: int, y: int) -> None:
+    if x == y:
+        raise SameVertex(f"x == y == {x}")
+    tree.check_ids(x, y)
 
 
 def path_between(tree: Tree, x: int, y: int) -> list[int]:
     """The unique simple path from x to y, inclusive."""
-    if x == y:
-        raise SameVertex(f"x == y == {x}")
-    for v in (x, y):
-        if not (0 <= v < tree.n):
-            raise IdOutOfRange(f"vertex {v} with n={tree.n}")
-    # BFS from y; parent[v] is v's neighbor one step closer to y
-    parent = [-1] * tree.n
-    parent[y] = y
-    queue = deque([y])
-    adj = tree.adjacency
-    while queue:
-        u = queue.popleft()
-        if u == x:
-            break
-        for w in adj[u]:
-            if parent[w] < 0:
-                parent[w] = u
-                queue.append(w)
-    path = [x]
-    v = x
-    while v != y:
-        v = parent[v]
-        path.append(v)
-    return path
+    _check_pair(tree, x, y)
+    return _walk_up(_rooted(tree, y)[0], x)
 
 
 def anatomize(tree: Tree, x: int, y: int) -> CycleAnatomy:
     """Cycle anatomy for candidate shortcut edge (x, y).
 
     Requires d_T(x, y) >= 2 so the added edge creates a simple cycle of
-    length k >= 3.  Subtree weights come from one traversal that deletes
-    the k-1 path edges and sizes each resulting component: O(n) total.
+    length k >= 3.  With the tree rooted at y, the subtree of path vertex
+    v_i holds exactly the components hanging off v_0 = x .. v_i, so the
+    hanging weights are w(x) = size(x) and w(v_i) = size(v_i) - size(v_{i-1}):
+    one traversal, O(n) total.
     """
-    path = path_between(tree, x, y)
+    _check_pair(tree, x, y)
+    parent, order = _rooted(tree, y)
+    path = _walk_up(parent, x)
     k = len(path)
     if k == 2:
         raise AdjacentPair(f"({x}, {y}) is an edge of the tree")
     k_prime = k // 2
-    on_path = set(path)
-    adj = tree.adjacency
-
-    def component_size(v: int) -> int:
-        size = 1
-        stack = [v]
-        seen = {v}
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w in seen or w in on_path:
-                    continue
-                seen.add(w)
-                size += 1
-                stack.append(w)
-        return size
-
-    weight = [component_size(v) for v in path]
+    size = [1] * tree.n
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
+    weight = [size[x]] + [size[v] - size[u] for u, v in zip(path, path[1:])]
     x_side = tuple(path[:k_prime])
     y_side = tuple(path[::-1][:k_prime])
     weights_x = tuple(weight[:k_prime])

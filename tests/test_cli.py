@@ -65,6 +65,11 @@ class TestDelta:
         assert code == 1
         assert out["error"] == "AdjacentPair"
 
+    def test_oracle_id_out_of_range(self, capsys, p7_file):
+        code, out = run(capsys, "delta", p7_file, "-e", "0", "9", "--method", "oracle")
+        assert code == 1
+        assert out["error"] == "IdOutOfRange"
+
 
 class TestBest:
     def test_p6(self, capsys, p6_file):
@@ -127,6 +132,13 @@ class TestRandom:
         assert code == 0
         assert out["mean_leaves"] > 0
         assert "exact_mean" in out and "asymptotic_mean" in out
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_count_must_be_positive(self, capsys, count):
+        with pytest.raises(SystemExit) as exc:
+            main(["random", "--n", "10", "--count", count, "--stats", "pruning"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestVerify:

@@ -6,12 +6,11 @@ from insetedge import (
     SimpleGraph,
     delta_oracle,
     random_labeled_tree,
-    set_distance,
     tree_plus_edge,
     wiener_brute,
     wiener_tree_linear,
 )
-from insetedge.errors import AdjacentPair, Disconnected, EmptySet, SameVertex
+from insetedge.errors import AdjacentPair, Disconnected, IdOutOfRange, SameVertex
 
 from conftest import path_tree, star_tree
 
@@ -65,6 +64,12 @@ class TestDeltaOracle:
         with pytest.raises(AdjacentPair):
             delta_oracle(p4, 2, 3)
 
+    def test_id_out_of_range(self, p5):
+        # a negative id must not wrap around to vertex n-1
+        for x, y in ((-1, 2), (0, 5)):
+            with pytest.raises(IdOutOfRange):
+                delta_oracle(p5, x, y)
+
     def test_always_at_least_one(self):
         for seed in range(8):
             t = random_labeled_tree(10, seed)
@@ -80,27 +85,7 @@ class TestTreePlusEdge:
         assert sum(len(a) for a in g.adjacency) == 2 * 5  # n edges now
         assert wiener_brute(g) == 15
 
+    def test_id_out_of_range(self, p5):
+        with pytest.raises(IdOutOfRange):
+            tree_plus_edge(p5, 0, -1)
 
-class TestSetDistance:
-    def test_single_pair(self, p4):
-        g = SimpleGraph.from_tree(p4)
-        assert set_distance(g, {0}, {3}) == 3
-
-    def test_whole_vertex_set_is_wiener(self, p4):
-        g = SimpleGraph.from_tree(p4)
-        v = set(range(4))
-        assert set_distance(g, v, v) == 10
-
-    def test_cross_pairs(self, p4):
-        g = SimpleGraph.from_tree(p4)
-        assert set_distance(g, {0, 1}, {2, 3}) == 8
-
-    def test_empty(self, p4):
-        g = SimpleGraph.from_tree(p4)
-        with pytest.raises(EmptySet):
-            set_distance(g, set(), {1})
-
-    def test_disconnected(self):
-        g = SimpleGraph.from_edges(4, [(0, 1), (2, 3)])
-        with pytest.raises(Disconnected):
-            set_distance(g, {0}, {3})

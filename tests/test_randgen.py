@@ -5,7 +5,7 @@ import pytest
 
 from insetedge import Corpus, SplitMix64, leaf_stats, random_labeled_tree
 from insetedge.errors import OutOfDomain
-from insetedge.randgen import exact_leaf_mean, prufer_decode, prufer_encode, stream_seed
+from insetedge.randgen import exact_leaf_mean, prufer_decode, stream_seed
 
 
 class TestSplitMix64:
@@ -34,12 +34,18 @@ class TestSplitMix64:
 
 
 class TestPrufer:
-    def test_roundtrip(self):
-        for n in range(3, 9):
-            for seed in range(20):
-                t = random_labeled_tree(n, seed)
-                code = prufer_encode(n, t.edges)
-                assert sorted(prufer_decode(n, code)) == sorted(t.edges)
+    def test_decode_is_bijective(self):
+        # Cayley: the n^(n-2) codes decode to n^(n-2) distinct labeled trees
+        from itertools import product
+
+        from insetedge import Tree
+
+        for n in range(3, 7):
+            trees = {
+                Tree.from_edges(n, prufer_decode(n, code)).edges
+                for code in product(range(n), repeat=n - 2)
+            }
+            assert len(trees) == n ** (n - 2)
 
     def test_known_code(self):
         # code (3, 3) on 4 vertices: star centered at 3

@@ -9,10 +9,10 @@ from insetedge import (
     init_sweep,
     random_labeled_tree,
     step_diagonal,
-    step_shift,
     sweep_path,
 )
 from insetedge.errors import CycleTooShort
+from insetedge.sweep import shift_gain
 
 from conftest import path_tree
 
@@ -60,26 +60,26 @@ class TestStepDiagonal:
 
 
 class TestStepShift:
+    # the shift step (x1, y1) -> (x2, y1) or (x1, y2) is scored by shift_gain
     def test_p7(self, p7):
-        s = step_shift(init_sweep(p7, 0, 6), "x")
-        assert (s.x, s.y, s.k, s.delta) == (1, 6, 6, 14)
+        s = init_sweep(p7, 0, 6)
+        assert s.delta + shift_gain(s, "x") == 14
 
     def test_p6(self, p6):
-        s = step_shift(init_sweep(p6, 0, 5), "x")
-        assert (s.x, s.y, s.k, s.delta) == (1, 5, 5, 9)
+        s = init_sweep(p6, 0, 5)
+        assert s.delta + shift_gain(s, "x") == 9
 
     def test_k3_raises(self, s5):
         with pytest.raises(CycleTooShort):
-            step_shift(init_sweep(s5, 1, 2), "x")
+            shift_gain(init_sweep(s5, 1, 2), "x")
 
     def test_bad_side(self, p7):
         with pytest.raises(ValueError):
-            step_shift(init_sweep(p7, 0, 6), "z")
+            shift_gain(init_sweep(p7, 0, 6), "z")
 
     def test_y_side_mirrors(self, p7):
-        s = step_shift(init_sweep(p7, 0, 6), "y")
-        assert (s.x, s.y, s.k) == (0, 5, 6)
-        assert s.delta == delta_direct(anatomize(p7, 0, 5))
+        s = init_sweep(p7, 0, 6)
+        assert s.delta + shift_gain(s, "y") == delta_direct(anatomize(p7, 0, 5))
 
 
 class TestStepStateInvariants:
@@ -102,9 +102,12 @@ class TestStepStateInvariants:
                     break
                 s = step_diagonal(s)
             else:
+                # score the shifted pair without moving there
                 if s.k < 4:
                     break
-                s = step_shift(s, mv)
+                u, v = (s.path[s.lo + 1], s.y) if mv == "x" else (s.x, s.path[s.hi - 1])
+                assert s.delta + shift_gain(s, mv) == delta_direct(anatomize(t, u, v))
+                continue
             fresh = anatomize(t, s.x, s.y)
             assert s.k == fresh.k
             assert s.weights_x == fresh.weights_x

@@ -1,4 +1,8 @@
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from insetedge import (
     Tree,
@@ -7,6 +11,7 @@ from insetedge import (
     leaves,
     parse_tree,
     path_between,
+    random_labeled_tree,
     serialize_tree,
 )
 from insetedge.errors import (
@@ -145,6 +150,45 @@ class TestAnatomize:
             for j, v in enumerate(a.y_side, start=1):
                 d = abs(dist[u] - dist[v])
                 assert d == a.k + 1 - i - j
+
+
+def component_sizes_without_path(tree, path):
+    """Size of each path vertex's component once the path edges are deleted,
+    by union-find over the remaining edges (no traversal from tree.py)."""
+    cut = {frozenset(e) for e in zip(path, path[1:])}
+    root = list(range(tree.n))
+
+    def find(v):
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    for u, v in tree.edges:
+        if frozenset((u, v)) not in cut:
+            root[find(u)] = find(v)
+    count = Counter(find(v) for v in range(tree.n))
+    return [count[find(v)] for v in path]
+
+
+class TestAnatomyOnRandomTrees:
+    @given(n=st.integers(3, 20), seed=st.integers(0, 2**32))
+    @settings(max_examples=30, deadline=None)
+    def test_every_non_adjacent_pair(self, n, seed):
+        t = random_labeled_tree(n, seed)
+        for x in range(n):
+            dist = bfs_distances(t, x)
+            for y in range(n):
+                if y == x or y in t.adjacency[x]:
+                    continue
+                a = anatomize(t, x, y)
+                path = path_between(t, x, y)
+                mid = () if a.middle is None else (a.middle,)
+                assert list(a.x_side + mid + a.y_side[::-1]) == path
+                assert dist[y] == len(path) - 1 == a.k - 1
+                w_mid = () if a.middle is None else (a.weight_middle,)
+                weights = a.weights_x + w_mid + a.weights_y[::-1]
+                assert list(weights) == component_sizes_without_path(t, path)
 
 
 class TestLeaves:
