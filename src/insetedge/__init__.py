@@ -12,13 +12,7 @@ from .bounds import (
 from .counting import OpCounter
 from .delta import DeltaRecord, ad_prime, delta_direct, delta_from_weights
 from .matrixform import CoefficientMatrix, build_F, delta_via_matrix
-from .oracle import (
-    SimpleGraph,
-    delta_oracle,
-    tree_plus_edge,
-    wiener_brute,
-    wiener_tree_linear,
-)
+from .oracle import SimpleGraph, delta_oracle, tree_plus_edge, wiener_brute
 from .randgen import Corpus, SplitMix64, leaf_stats, random_labeled_tree
 from .search import SearchReport, best_edge, candidate_pairs, pruning_ratio
 from .sweep import SweepState, init_sweep, step_diagonal, sweep_path
@@ -31,6 +25,7 @@ from .tree import (
     parse_tree,
     path_between,
     serialize_tree,
+    wiener_tree_linear,
 )
 
 __version__ = "0.1.0"

@@ -19,13 +19,13 @@ from fractions import Fraction
 from .bounds import audit, build_family_tree
 from .counting import OpCounter
 from .delta import ad_prime, delta_direct, delta_term_count
-from .errors import InsetEdgeError
+from .errors import InsetEdgeError, MalformedLine
 from .matrixform import delta_via_matrix
-from .oracle import delta_oracle, wiener_tree_linear
+from .oracle import delta_oracle
 from .randgen import Corpus, exact_leaf_mean, leaf_stats
 from .search import best_edge, pruning_ratio
 from .sweep import sweep_path
-from .tree import Tree, anatomize, parse_tree, path_between, serialize_tree
+from .tree import Tree, anatomize, parse_tree, path_between, serialize_tree, wiener_tree_linear
 
 
 def _frac(f: Fraction) -> str:
@@ -41,7 +41,11 @@ def _positive_int(text: str) -> int:
 
 def _load(path: str) -> Tree:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_tree(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise MalformedLine(f"{path} is not UTF-8: {exc}") from None
+    return parse_tree(text)
 
 
 def _record_payload(rec) -> dict:
@@ -245,8 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--threads",
-        type=int,
-        default=int(os.environ.get("INSET_THREADS", "1")),
+        type=_positive_int,
+        # a string default goes through the type too, so INSET_THREADS is checked
+        default=os.environ.get("INSET_THREADS", "1"),
         help="worker count hint; results never depend on it",
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -70,35 +70,6 @@ def wiener_brute(graph: SimpleGraph) -> int:
     return total // 2
 
 
-def wiener_tree_linear(tree: Tree) -> int:
-    """O(n) Wiener sum for a tree: each edge splits the tree into parts of
-    sizes s and n-s and contributes s * (n - s)."""
-    n = tree.n
-    if n == 0:
-        return 0
-    # iterative post-order from root 0; size[v] counts v's subtree
-    parent = [-1] * n
-    order = []
-    stack = [0]
-    seen = [False] * n
-    seen[0] = True
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        for w in tree.adjacency[u]:
-            if not seen[w]:
-                seen[w] = True
-                parent[w] = u
-                stack.append(w)
-    size = [1] * n
-    total = 0
-    for u in reversed(order):
-        if parent[u] >= 0:
-            size[parent[u]] += size[u]
-            total += size[u] * (n - size[u])
-    return total
-
-
 def delta_oracle(tree: Tree, x: int, y: int) -> int:
     """Wiener decrease caused by adding edge (x, y): brute force before/after."""
     if x == y:

@@ -37,26 +37,22 @@ def _non_adjacent_count(tree: Tree) -> int:
 
 
 def candidate_pairs(tree: Tree, strategy: str = "exhaustive") -> list[tuple[int, int]]:
-    """Candidate shortcut edges: all non-adjacent pairs, or the leaf-pruned
-    subset."""
-    edge_set = set(tree.edges)
-    pairs = [
-        (u, v)
-        for u in range(tree.n)
-        for v in range(u + 1, tree.n)
-        if (u, v) not in edge_set
-    ]
-    if strategy != "pruned":
-        return pairs
-    deg = [len(a) for a in tree.adjacency]
-    dist = [bfs_distances(tree, s) for s in range(tree.n)]
-    kept = []
-    for u, v in pairs:
-        if deg[u] > 1 and deg[v] > 1:
-            kept.append((u, v))
-        elif dist[u][v] in PRUNE_EXCEPTION_DISTANCES:
-            kept.append((u, v))
-    return kept
+    """Candidate shortcut edges (u, v), u < v: all non-adjacent pairs, or
+    the leaf-pruned subset.  Pairs come grouped by v, each group read from
+    one distance row."""
+    pruned = strategy == "pruned"
+    leaf = [len(a) == 1 for a in tree.adjacency]
+    pairs = []
+    for v in range(tree.n):
+        dist = bfs_distances(tree, v)
+        for u in range(v):
+            d = dist[u]
+            if d < 2:
+                continue
+            if pruned and (leaf[u] or leaf[v]) and d not in PRUNE_EXCEPTION_DISTANCES:
+                continue
+            pairs.append((u, v))
+    return pairs
 
 
 def best_edge(tree: Tree, strategy: str = "exhaustive") -> SearchReport:
@@ -70,15 +66,15 @@ def best_edge(tree: Tree, strategy: str = "exhaustive") -> SearchReport:
     if not cands:
         raise NoCandidates(f"n={tree.n}")
 
-    if strategy == "oracle":
-        score = lambda u, v: delta_oracle(tree, u, v)  # noqa: E731
-    else:
-        score = lambda u, v: delta_direct(anatomize(tree, u, v))  # noqa: E731
-
     best = -1
     best_pairs: list[tuple[int, int]] = []
+    # cands are grouped by v, so consecutive anatomize calls share the
+    # pass rooted at v
     for u, v in cands:
-        d = score(u, v)
+        if strategy == "oracle":
+            d = delta_oracle(tree, u, v)
+        else:
+            d = delta_direct(anatomize(tree, u, v))
         if d > best:
             best = d
             best_pairs = [(u, v)]

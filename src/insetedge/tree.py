@@ -8,7 +8,8 @@ stored 0-based in tuples: x_side[0] is the x anchor itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from functools import lru_cache
+from typing import Callable, Iterable, Optional
 
 from .errors import (
     AdjacentPair,
@@ -156,6 +157,24 @@ def _walk_up(parent: list[int], v: int) -> list[int]:
     return path
 
 
+def _sizes(tree: Tree, root: int) -> tuple[list[int], list[int]]:
+    """Parent pointers from _rooted and subtree sizes: size[v] counts v and
+    every vertex below it."""
+    parent, order = _rooted(tree, root)
+    size = [1] * tree.n
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
+    return parent, size
+
+
+def wiener_tree_linear(tree: Tree) -> int:
+    """O(n) Wiener sum for a tree: the edge above each non-root v splits the
+    tree into parts of sizes size(v) and n - size(v), and contributes
+    size(v) * (n - size(v))."""
+    n = tree.n
+    return sum(s * (n - s) for s in _sizes(tree, 0)[1][1:])
+
+
 def bfs_distances(tree: Tree, source: int) -> list[int]:
     """Distances from source to every vertex."""
     tree.check_ids(source)
@@ -178,48 +197,59 @@ def path_between(tree: Tree, x: int, y: int) -> list[int]:
     return _walk_up(_rooted(tree, y)[0], x)
 
 
+@lru_cache(maxsize=1)
+def anatomizer(tree: Tree, y: int) -> Callable[[int], CycleAnatomy]:
+    """The cycle anatomy of (x, y) as a function of x, from one pass rooted
+    at y.
+
+    With the tree rooted at y, the subtree of path vertex v_i holds exactly
+    the components hanging off v_0 = x .. v_i, so the hanging weights are
+    w(x) = size(x) and w(v_i) = size(v_i) - size(v_{i-1}).  The pass costs
+    O(n) once, each x then O(k).  The last pass is kept, so consecutive
+    calls with the same tree and y share it.
+    """
+    tree.check_ids(y)
+    parent, size = _sizes(tree, y)
+
+    def anatomy(x: int) -> CycleAnatomy:
+        _check_pair(tree, x, y)
+        path = _walk_up(parent, x)
+        k = len(path)
+        if k == 2:
+            raise AdjacentPair(f"({x}, {y}) is an edge of the tree")
+        k_prime = k // 2
+        weight = [size[x]] + [size[v] - size[u] for u, v in zip(path, path[1:])]
+        if k % 2:
+            middle = path[k_prime]
+            weight_middle = weight[k_prime]
+        else:
+            middle = None
+            weight_middle = None
+        return CycleAnatomy(
+            x=x,
+            y=y,
+            k=k,
+            k_prime=k_prime,
+            x_side=tuple(path[:k_prime]),
+            y_side=tuple(path[::-1][:k_prime]),
+            middle=middle,
+            weights_x=tuple(weight[:k_prime]),
+            weights_y=tuple(weight[::-1][:k_prime]),
+            weight_middle=weight_middle,
+        )
+
+    return anatomy
+
+
 def anatomize(tree: Tree, x: int, y: int) -> CycleAnatomy:
     """Cycle anatomy for candidate shortcut edge (x, y).
 
     Requires d_T(x, y) >= 2 so the added edge creates a simple cycle of
-    length k >= 3.  With the tree rooted at y, the subtree of path vertex
-    v_i holds exactly the components hanging off v_0 = x .. v_i, so the
-    hanging weights are w(x) = size(x) and w(v_i) = size(v_i) - size(v_{i-1}):
-    one traversal, O(n) total.
+    length k >= 3.  Calls that share the tree and y share one rooted pass
+    (see anatomizer).
     """
     _check_pair(tree, x, y)
-    parent, order = _rooted(tree, y)
-    path = _walk_up(parent, x)
-    k = len(path)
-    if k == 2:
-        raise AdjacentPair(f"({x}, {y}) is an edge of the tree")
-    k_prime = k // 2
-    size = [1] * tree.n
-    for v in reversed(order[1:]):
-        size[parent[v]] += size[v]
-    weight = [size[x]] + [size[v] - size[u] for u, v in zip(path, path[1:])]
-    x_side = tuple(path[:k_prime])
-    y_side = tuple(path[::-1][:k_prime])
-    weights_x = tuple(weight[:k_prime])
-    weights_y = tuple(weight[::-1][:k_prime])
-    if k % 2:
-        middle = path[k_prime]
-        weight_middle = weight[k_prime]
-    else:
-        middle = None
-        weight_middle = None
-    return CycleAnatomy(
-        x=x,
-        y=y,
-        k=k,
-        k_prime=k_prime,
-        x_side=x_side,
-        y_side=y_side,
-        middle=middle,
-        weights_x=weights_x,
-        weights_y=weights_y,
-        weight_middle=weight_middle,
-    )
+    return anatomizer(tree, y)(x)
 
 
 def leaves(tree: Tree) -> set[int]:

@@ -171,6 +171,24 @@ class TestErrors:
         assert code == 1
         assert out["error"] == "MalformedLine"
 
+    @pytest.mark.parametrize("command", ["wiener", "best"])
+    def test_not_utf8(self, capsys, tmp_path, command):
+        f = tmp_path / "bad.tree"
+        f.write_bytes(b"4\n0 1\n1 2\n2 \xff3\n")
+        code, out = run(capsys, command, str(f))
+        assert code == 1
+        assert out["error"] == "MalformedLine"
+
+    @pytest.mark.parametrize(
+        "env, argv", [("abc", []), ("1", ["--threads", "0"])], ids=["env-abc", "flag-0"]
+    )
+    def test_threads_must_be_positive(self, capsys, monkeypatch, env, argv):
+        monkeypatch.setenv("INSET_THREADS", env)
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "random", "--n", "5"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestDeterminism:
     def test_threads_do_not_change_output(self, capsys, tmp_path):

@@ -1,10 +1,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import insetedge.tree
 from insetedge import (
+    anatomize,
     best_edge,
+    bfs_distances,
     candidate_pairs,
+    delta_direct,
     leaves,
     pruning_ratio,
     random_labeled_tree,
@@ -62,6 +68,51 @@ class TestBestEdge:
     def test_unknown_strategy(self, p7):
         with pytest.raises(ValueError):
             best_edge(p7, "greedy")
+
+
+def reference_search(t, strategy):
+    """Every candidate pair scored with its own anatomize, and the pruning
+    rule applied to distances from bfs_distances."""
+    leaf = leaves(t)
+    scores, total = {}, 0
+    for u in range(t.n):
+        dist = bfs_distances(t, u)
+        for v in range(u + 1, t.n):
+            if dist[v] < 2:
+                continue
+            total += 1
+            if strategy == "pruned" and leaf & {u, v} and dist[v] not in (2, 3, 4, 6):
+                continue
+            scores[u, v] = delta_direct(anatomize(t, u, v))
+    best = max(scores.values())
+    best_pairs = tuple(sorted(p for p, d in scores.items() if d == best))
+    return best_pairs, best, len(scores), total - len(scores), set(scores)
+
+
+@pytest.mark.parametrize("strategy", ["exhaustive", "pruned"])
+class TestOnePassPerRoot:
+    def test_at_most_two_passes_per_vertex(self, monkeypatch, strategy):
+        # n distance rows for the candidates and at most one anatomy pass per root
+        t = random_labeled_tree(24, 5)
+        roots = []
+        rooted = insetedge.tree._rooted
+
+        def counting(tree, root):
+            roots.append(root)
+            return rooted(tree, root)
+
+        monkeypatch.setattr(insetedge.tree, "_rooted", counting)
+        best_edge(t, strategy)
+        assert len(roots) <= 2 * t.n
+
+    @given(n=st.integers(4, 40), seed=st.integers(0, 2**32))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_per_pair_reference(self, strategy, n, seed):
+        t = random_labeled_tree(n, seed)
+        best_pairs, best, evaluated, pruned, pairs = reference_search(t, strategy)
+        r = best_edge(t, strategy)
+        assert (r.best_pairs, r.best_delta, r.evaluated, r.pruned) == (best_pairs, best, evaluated, pruned)
+        assert set(candidate_pairs(t, strategy)) == pairs
 
 
 class TestPrunedCompleteness:

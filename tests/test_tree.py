@@ -22,6 +22,7 @@ from insetedge.errors import (
     NotATree,
     SameVertex,
 )
+from insetedge.tree import anatomizer
 
 from conftest import path_tree, star_tree
 
@@ -176,16 +177,18 @@ class TestAnatomyOnRandomTrees:
     @settings(max_examples=30, deadline=None)
     def test_every_non_adjacent_pair(self, n, seed):
         t = random_labeled_tree(n, seed)
-        for x in range(n):
-            dist = bfs_distances(t, x)
-            for y in range(n):
-                if y == x or y in t.adjacency[x]:
+        for y in range(n):
+            dist = bfs_distances(t, y)
+            anatomy_of = anatomizer(t, y)  # one pass at y, reused for every x
+            for x in range(n):
+                if x == y or x in t.adjacency[y]:
                     continue
                 a = anatomize(t, x, y)
+                assert anatomy_of(x) == a
                 path = path_between(t, x, y)
                 mid = () if a.middle is None else (a.middle,)
                 assert list(a.x_side + mid + a.y_side[::-1]) == path
-                assert dist[y] == len(path) - 1 == a.k - 1
+                assert dist[x] == len(path) - 1 == a.k - 1
                 w_mid = () if a.middle is None else (a.weight_middle,)
                 weights = a.weights_x + w_mid + a.weights_y[::-1]
                 assert list(weights) == component_sizes_without_path(t, path)
