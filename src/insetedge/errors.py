@@ -47,3 +47,7 @@ class OutOfDomain(InsetEdgeError):
 
 class NoCandidates(InsetEdgeError):
     """Tree too small to have any candidate shortcut edge."""
+
+
+class RouteMismatch(InsetEdgeError):
+    """Two evaluation routes disagree."""

@@ -4,17 +4,38 @@ The pruning rule drops a candidate pair only when at least one endpoint is
 a leaf and the endpoint distance is outside {2, 3, 4, 6}: for any other
 leaf pair there is a non-leaf candidate at least as good, so the pruned
 search keeps the maximum (for n > 6, non-star trees).
+
+Every pair is scored from subtree sizes along one root path, without a
+cycle anatomy.  Root the tree at v and take the path v = p_0, ..., p_D = u
+(D = d(u, v), cycle length k = D + 1, h = k // 2), with s_j = size(p_j),
+so s_0 = n.  The hanging weights are w_D = s_D and w_j = s_j - s_{j+1}
+below it, so the suffix sum w_a + ... + w_D is s_a and the prefix sum
+w_0 + ... + w_{j-1} is n - s_j.  A pair of hanging vertices at p_i and p_l
+(i < l) saves max(0, 2(l - i) - k), which is a sum of ramps
+r_m = max(0, (l - i) - m): 2 r_h for even k, r_h + r_{h+1} for odd k.
+Summed by parts, r_m counts the cut points j with i < j <= l - m, so
+
+    R(m) = sum over pairs of w_i w_l r_m = sum_{j=1}^{D-m} s_{j+m} (n - s_j)
+
+and
+
+    even k:  delta(u, v) = 2 R(h)
+    odd k:   delta(u, v) = R(h) + R(h + 1),
+
+about k/2 products per pair, where the direct formula sums about k^2/8.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
+from typing import Iterator
 
 from .delta import ad_prime, delta_direct
-from .errors import NoCandidates
+from .errors import NoCandidates, RouteMismatch
 from .oracle import delta_oracle
-from .tree import Tree, anatomize, bfs_distances
+from .tree import Tree, _sizes, anatomize
 
 PRUNE_EXCEPTION_DISTANCES = frozenset({2, 3, 4, 6})
 
@@ -36,56 +57,81 @@ def _non_adjacent_count(tree: Tree) -> int:
     return (tree.n - 1) * (tree.n - 2) // 2
 
 
-def candidate_pairs(tree: Tree, strategy: str = "exhaustive") -> list[tuple[int, int]]:
-    """Candidate shortcut edges (u, v), u < v: all non-adjacent pairs, or
-    the leaf-pruned subset.  Pairs come grouped by v, each group read from
-    one distance row."""
-    pruned = strategy == "pruned"
+def _candidates(tree: Tree, pruned: bool) -> Iterator[tuple[int, int, int, list[int]]]:
+    """Candidate pairs (u, v), u < v, at distance d >= 2, grouped by v, with
+    sizes = [s_0, ..., s_d], the subtree sizes along the path from v to u
+    in the tree rooted at v (see the module docstring).  With pruned, leaf
+    pairs are dropped by the pruning rule.  sizes is reused: read it before
+    asking for the next pair."""
+    n = tree.n
     leaf = [len(a) == 1 for a in tree.adjacency]
-    pairs = []
-    for v in range(tree.n):
-        dist = bfs_distances(tree, v)
-        for u in range(v):
-            d = dist[u]
-            if d < 2:
+    for v in range(1, n):
+        parent, size, order = _sizes(tree, v)
+        depth = [0] * n
+        sizes = [n]
+        # in preorder each subtree is contiguous, so the root path of u is
+        # the root path of its parent plus u
+        for u in order[1:]:
+            d = depth[u] = depth[parent[u]] + 1
+            del sizes[d:]
+            sizes.append(size[u])
+            if u > v or d < 2:
                 continue
             if pruned and (leaf[u] or leaf[v]) and d not in PRUNE_EXCEPTION_DISTANCES:
                 continue
-            pairs.append((u, v))
-    return pairs
+            yield u, v, d, sizes
+
+
+def _savings(n: int, d: int, sizes: list[int]) -> int:
+    """delta(u, v) for a pair at distance d from its root-path sizes."""
+    h = (d + 1) // 2
+    rest = [n - s for s in sizes[1 : d - h + 1]]
+    near = sum(map(mul, sizes[h + 1 :], rest))
+    if d % 2:  # k = d + 1 even
+        return 2 * near
+    return near + sum(map(mul, sizes[h + 2 :], rest))
+
+
+def candidate_pairs(tree: Tree, strategy: str = "exhaustive") -> list[tuple[int, int]]:
+    """Candidate shortcut edges (u, v), u < v: all non-adjacent pairs, or
+    the leaf-pruned subset.  Pairs come grouped by v, each group read from
+    one rooted pass."""
+    return [(u, v) for u, v, _, _ in _candidates(tree, strategy == "pruned")]
 
 
 def best_edge(tree: Tree, strategy: str = "exhaustive") -> SearchReport:
-    """All shortcut edges maximizing the savings, sorted lexicographically."""
+    """All shortcut edges maximizing the savings, sorted lexicographically.
+
+    The first best pair is scored again with delta_direct on its anatomy;
+    RouteMismatch is raised if the two routes disagree."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     if tree.n <= 3:
         raise NoCandidates(f"n={tree.n}")
-    total = _non_adjacent_count(tree)
-    cands = candidate_pairs(tree, "pruned" if strategy == "pruned" else "exhaustive")
-    if not cands:
-        raise NoCandidates(f"n={tree.n}")
-
+    n = tree.n
+    oracle = strategy == "oracle"
     best = -1
     best_pairs: list[tuple[int, int]] = []
-    # cands are grouped by v, so consecutive anatomize calls share the
-    # pass rooted at v
-    for u, v in cands:
-        if strategy == "oracle":
-            d = delta_oracle(tree, u, v)
-        else:
-            d = delta_direct(anatomize(tree, u, v))
-        if d > best:
-            best = d
+    evaluated = 0
+    for u, v, d, sizes in _candidates(tree, strategy == "pruned"):
+        evaluated += 1
+        score = delta_oracle(tree, u, v) if oracle else _savings(n, d, sizes)
+        if score > best:
+            best = score
             best_pairs = [(u, v)]
-        elif d == best:
+        elif score == best:
             best_pairs.append((u, v))
+    # n >= 4 has a pair at distance 2, which no rule prunes
+    best_pairs.sort()
+    direct = delta_direct(anatomize(tree, *best_pairs[0]))
+    if direct != best:
+        raise RouteMismatch(f"{strategy} scored {best_pairs[0]} as {best}, delta_direct as {direct}")
     return SearchReport(
-        best_pairs=tuple(sorted(best_pairs)),
+        best_pairs=tuple(best_pairs),
         best_delta=best,
-        best_ad_prime=ad_prime(best, tree.n),
-        evaluated=len(cands),
-        pruned=total - len(cands),
+        best_ad_prime=ad_prime(best, n),
+        evaluated=evaluated,
+        pruned=_non_adjacent_count(tree) - evaluated,
         strategy=strategy,
     )
 
@@ -95,5 +141,5 @@ def pruning_ratio(tree: Tree) -> Fraction:
     if tree.n <= 3:
         raise NoCandidates(f"n={tree.n}")
     total = _non_adjacent_count(tree)
-    kept = len(candidate_pairs(tree, "pruned"))
+    kept = sum(1 for _ in _candidates(tree, True))
     return Fraction(total - kept, total)

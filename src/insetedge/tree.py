@@ -8,7 +8,6 @@ stored 0-based in tuples: x_side[0] is the x anchor itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterable, Optional
 
 from .errors import (
@@ -133,18 +132,21 @@ def serialize_tree(tree: Tree) -> str:
 
 
 def _rooted(tree: Tree, root: int) -> tuple[list[int], list[int]]:
-    """One BFS from root: parent pointers (parent[root] == root, -1 for
-    vertices not reached) and the visit order, in which every vertex comes
-    after its parent."""
+    """One depth-first pass from root: parent pointers (parent[root] ==
+    root, -1 for vertices not reached) and the preorder, in which every
+    vertex comes after its parent and each subtree is a contiguous run."""
     parent = [-1] * tree.n
     parent[root] = root
-    order = [root]
+    order = []
+    stack = [root]
     adj = tree.adjacency
-    for u in order:
+    while stack:
+        u = stack.pop()
+        order.append(u)
         for w in adj[u]:
             if parent[w] < 0:
                 parent[w] = u
-                order.append(w)
+                stack.append(w)
     return parent, order
 
 
@@ -157,14 +159,14 @@ def _walk_up(parent: list[int], v: int) -> list[int]:
     return path
 
 
-def _sizes(tree: Tree, root: int) -> tuple[list[int], list[int]]:
-    """Parent pointers from _rooted and subtree sizes: size[v] counts v and
-    every vertex below it."""
+def _sizes(tree: Tree, root: int) -> tuple[list[int], list[int], list[int]]:
+    """Parent pointers and preorder from _rooted, and subtree sizes:
+    size[v] counts v and every vertex below it."""
     parent, order = _rooted(tree, root)
     size = [1] * tree.n
     for v in reversed(order[1:]):
         size[parent[v]] += size[v]
-    return parent, size
+    return parent, size, order
 
 
 def wiener_tree_linear(tree: Tree) -> int:
@@ -197,7 +199,6 @@ def path_between(tree: Tree, x: int, y: int) -> list[int]:
     return _walk_up(_rooted(tree, y)[0], x)
 
 
-@lru_cache(maxsize=1)
 def anatomizer(tree: Tree, y: int) -> Callable[[int], CycleAnatomy]:
     """The cycle anatomy of (x, y) as a function of x, from one pass rooted
     at y.
@@ -205,11 +206,10 @@ def anatomizer(tree: Tree, y: int) -> Callable[[int], CycleAnatomy]:
     With the tree rooted at y, the subtree of path vertex v_i holds exactly
     the components hanging off v_0 = x .. v_i, so the hanging weights are
     w(x) = size(x) and w(v_i) = size(v_i) - size(v_{i-1}).  The pass costs
-    O(n) once, each x then O(k).  The last pass is kept, so consecutive
-    calls with the same tree and y share it.
+    O(n) once, each x then O(k).
     """
     tree.check_ids(y)
-    parent, size = _sizes(tree, y)
+    parent, size, _ = _sizes(tree, y)
 
     def anatomy(x: int) -> CycleAnatomy:
         _check_pair(tree, x, y)
@@ -245,8 +245,8 @@ def anatomize(tree: Tree, x: int, y: int) -> CycleAnatomy:
     """Cycle anatomy for candidate shortcut edge (x, y).
 
     Requires d_T(x, y) >= 2 so the added edge creates a simple cycle of
-    length k >= 3.  Calls that share the tree and y share one rooted pass
-    (see anatomizer).
+    length k >= 3.  Each call makes one rooted pass; to anatomize many
+    pairs that share y, call anatomizer once.
     """
     _check_pair(tree, x, y)
     return anatomizer(tree, y)(x)

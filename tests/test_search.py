@@ -1,21 +1,27 @@
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import insetedge.search
 import insetedge.tree
 from insetedge import (
     anatomize,
     best_edge,
     bfs_distances,
+    build_family_tree,
     candidate_pairs,
     delta_direct,
     leaves,
     pruning_ratio,
     random_labeled_tree,
+    serialize_tree,
 )
-from insetedge.errors import NoCandidates
+from insetedge.cli import main
+from insetedge.errors import NoCandidates, RouteMismatch
+from insetedge.search import _candidates, _savings
 
 from conftest import path_tree, star_tree
 
@@ -91,8 +97,8 @@ def reference_search(t, strategy):
 
 @pytest.mark.parametrize("strategy", ["exhaustive", "pruned"])
 class TestOnePassPerRoot:
-    def test_at_most_two_passes_per_vertex(self, monkeypatch, strategy):
-        # n distance rows for the candidates and at most one anatomy pass per root
+    def test_one_pass_per_root_and_one_rescore(self, monkeypatch, strategy):
+        # at most one pass per root for the candidates, one for the re-score
         t = random_labeled_tree(24, 5)
         roots = []
         rooted = insetedge.tree._rooted
@@ -103,7 +109,7 @@ class TestOnePassPerRoot:
 
         monkeypatch.setattr(insetedge.tree, "_rooted", counting)
         best_edge(t, strategy)
-        assert len(roots) <= 2 * t.n
+        assert len(roots) <= t.n + 1
 
     @given(n=st.integers(4, 40), seed=st.integers(0, 2**32))
     @settings(max_examples=25, deadline=None)
@@ -113,6 +119,42 @@ class TestOnePassPerRoot:
         r = best_edge(t, strategy)
         assert (r.best_pairs, r.best_delta, r.evaluated, r.pruned) == (best_pairs, best, evaluated, pruned)
         assert set(candidate_pairs(t, strategy)) == pairs
+
+
+def savings_trees():
+    random_trees = st.builds(random_labeled_tree, st.integers(4, 60), st.integers(0, 2**32))
+    paths = st.builds(path_tree, st.integers(4, 60))
+    stars = st.builds(star_tree, st.integers(4, 30))
+
+    @st.composite
+    def family(draw):
+        k = draw(st.integers(3, 40))
+        w_x, w_y = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+        shape = draw(st.sampled_from(["star", "path"]))
+        return build_family_tree(k + w_x + w_y - 2, k, w_x, w_y, shape)[0]
+
+    return st.one_of(random_trees, paths, stars, family())
+
+
+class TestSavings:
+    @given(t=savings_trees())
+    @settings(max_examples=60, deadline=None)
+    def test_every_pair_matches_direct(self, t):
+        for u, v, d, sizes in _candidates(t, False):
+            assert _savings(t.n, d, sizes) == delta_direct(anatomize(t, u, v))
+
+
+class TestRouteMismatch:
+    def test_rescore_disagrees(self, monkeypatch, p7, capsys, tmp_path):
+        direct = insetedge.search.delta_direct
+        monkeypatch.setattr(insetedge.search, "delta_direct", lambda a: direct(a) + 1)
+        with pytest.raises(RouteMismatch):
+            best_edge(p7)
+        f = tmp_path / "p7.tree"
+        f.write_text(serialize_tree(p7))
+        assert main(["best", str(f)]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["error"] == "RouteMismatch"
 
 
 class TestPrunedCompleteness:
