@@ -15,7 +15,7 @@ from .matrixform import CoefficientMatrix, build_F, delta_via_matrix
 from .oracle import SimpleGraph, delta_oracle, tree_plus_edge, wiener_brute
 from .randgen import Corpus, SplitMix64, leaf_stats, random_labeled_tree
 from .search import SearchReport, best_edge, candidate_pairs, pruning_ratio
-from .sweep import SweepState, init_sweep, step_diagonal, sweep_path
+from .sweep import sweep_path
 from .tree import (
     CycleAnatomy,
     Tree,
@@ -40,7 +40,6 @@ __all__ = [
     "SearchReport",
     "SimpleGraph",
     "SplitMix64",
-    "SweepState",
     "Tree",
     "ad_prime",
     "anatomize",
@@ -58,7 +57,6 @@ __all__ = [
     "delta_via_matrix",
     "family_delta",
     "family_optimum",
-    "init_sweep",
     "leaf_stats",
     "leaves",
     "parse_tree",
@@ -66,7 +64,6 @@ __all__ = [
     "pruning_ratio",
     "random_labeled_tree",
     "serialize_tree",
-    "step_diagonal",
     "sweep_path",
     "tree_plus_edge",
     "wiener_brute",

@@ -86,7 +86,7 @@ def family_optimum(n: int) -> tuple[int, int, int, int]:
     if n < 5:
         raise OutOfDomain(f"n={n} < 5")
     best: Optional[tuple[int, int, int, int]] = None
-    for k in range(3, n):
+    for k in range(3, n + 1):
         m = n - k + 2
         w_x, w_y = m // 2, (m + 1) // 2
         value = family_delta(n, k, w_x, w_y)

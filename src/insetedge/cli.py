@@ -2,9 +2,7 @@
 
 Exit codes: 0 success, 1 domain error (error name in the payload), 2 usage
 error.  Exact rationals are emitted as "p/q" strings with a decimal
-convenience field.  Output is deterministic for fixed inputs and seeds;
---threads never changes results (scoring merges are order-independent, and
-the current implementation evaluates sequentially regardless).
+convenience field.  Output is deterministic for fixed inputs and seeds.
 """
 
 from __future__ import annotations
@@ -12,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -247,13 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="inset",
         description="Exact Wiener-index change under single shortcut-edge insertion in trees.",
     )
-    parser.add_argument(
-        "--threads",
-        type=_positive_int,
-        # a string default goes through the type too, so INSET_THREADS is checked
-        default=os.environ.get("INSET_THREADS", "1"),
-        help="worker count hint; results never depend on it",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("wiener", help="Wiener sum and average distance of a tree")
@@ -266,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("direct", "matrix", "oracle"), default="direct")
     p.set_defaults(func=_cmd_delta)
 
-    p = sub.add_parser("sweep", help="incremental savings along one path")
+    p = sub.add_parser("sweep", help="savings of the nested shortcut edges along one path")
     p.add_argument("file")
     p.add_argument("-p", "--path-pair", nargs=2, type=int, required=True, metavar=("X", "Y"))
     p.set_defaults(func=_cmd_sweep)

@@ -1,4 +1,4 @@
-"""Direct evaluation of the Wiener decrease from a cycle anatomy.
+"""Evaluation of the Wiener decrease from a cycle anatomy or from subtree sizes.
 
 The decrease caused by shortcut edge (x, y) with cycle length k depends on
 the tree only through k and the hanging-subtree weights: it is the sum of
@@ -6,6 +6,25 @@ the tree only through k and the hanging-subtree weights: it is the sum of
 d = k+1-i-j exceeds k/2.  In integers the condition is 2*(k+1-i-j) > k,
 i.e. i+j <= k' for even k and i+j <= k'+1 for odd k (k' = k // 2), and the
 coefficient is always k + 2 - 2*(i+j) on that range.
+
+The same savings follows from subtree sizes along one root path, without
+the weight tuples.  Root the tree at v and take the path v = p_0, ..., p_D
+= u (D = d(u, v), cycle length k = D + 1, h = k // 2), with s_j =
+size(p_j), so s_0 = n.  The hanging weights are w_D = s_D and w_j = s_j -
+s_{j+1} below it, so the suffix sum w_a + ... + w_D is s_a and the prefix
+sum w_0 + ... + w_{j-1} is n - s_j.  A pair of hanging vertices at p_i and
+p_l (i < l) saves max(0, 2(l - i) - k), which is a sum of ramps
+r_m = max(0, (l - i) - m): 2 r_h for even k, r_h + r_{h+1} for odd k.
+Summed by parts, r_m counts the cut points j with i < j <= l - m, so
+
+    R(m) = sum over pairs of w_i w_l r_m = sum_{j=1}^{D-m} s_{j+m} (n - s_j)
+
+and
+
+    even k:  delta(u, v) = 2 R(h)
+    odd k:   delta(u, v) = R(h) + R(h + 1),
+
+about k/2 products per pair, where the weight formula sums about k^2/8.
 """
 
 from __future__ import annotations
@@ -56,8 +75,23 @@ def delta_term_count(k: int) -> int:
     """Exact number of multiply-accumulate terms delta_from_weights performs
     for cycle length k (matches the instrumented counter)."""
     k_prime = k // 2
-    bound = k_prime + 1 if k % 2 else k_prime
-    return sum(max(0, min(k_prime, bound - i)) for i in range(1, k_prime + 1))
+    return k_prime * (k_prime + 1) // 2 if k % 2 else k_prime * (k_prime - 1) // 2
+
+
+def delta_from_sizes(
+    n: int, d: int, sizes: Sequence[int], counter: Optional[OpCounter] = None
+) -> int:
+    """Savings of a pair at distance d >= 2 from its root-path sizes
+    [s_0 = n, s_1, ..., s_d] (see the module docstring).  The counter is
+    charged d // 2 per sum: one sum for even k, two for odd k."""
+    h = (d + 1) // 2
+    rest = [n - s for s in sizes[1 : d - h + 1]]
+    if counter is not None:
+        counter.add(len(rest) if d % 2 else 2 * len(rest))
+    near = sum(map(mul, sizes[h + 1 :], rest))
+    if d % 2:  # k = d + 1 even
+        return 2 * near
+    return near + sum(map(mul, sizes[h + 2 :], rest))
 
 
 def delta_direct(anatomy: CycleAnatomy, counter: Optional[OpCounter] = None) -> int:

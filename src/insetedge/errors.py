@@ -37,10 +37,6 @@ class KTooSmall(InsetEdgeError):
     """Cycle length below 3."""
 
 
-class CycleTooShort(InsetEdgeError):
-    """Incremental step would shrink the cycle below its legal minimum."""
-
-
 class OutOfDomain(InsetEdgeError):
     """Numeric argument outside the operation's domain."""
 

@@ -5,34 +5,18 @@ a leaf and the endpoint distance is outside {2, 3, 4, 6}: for any other
 leaf pair there is a non-leaf candidate at least as good, so the pruned
 search keeps the maximum (for n > 6, non-star trees).
 
-Every pair is scored from subtree sizes along one root path, without a
-cycle anatomy.  Root the tree at v and take the path v = p_0, ..., p_D = u
-(D = d(u, v), cycle length k = D + 1, h = k // 2), with s_j = size(p_j),
-so s_0 = n.  The hanging weights are w_D = s_D and w_j = s_j - s_{j+1}
-below it, so the suffix sum w_a + ... + w_D is s_a and the prefix sum
-w_0 + ... + w_{j-1} is n - s_j.  A pair of hanging vertices at p_i and p_l
-(i < l) saves max(0, 2(l - i) - k), which is a sum of ramps
-r_m = max(0, (l - i) - m): 2 r_h for even k, r_h + r_{h+1} for odd k.
-Summed by parts, r_m counts the cut points j with i < j <= l - m, so
-
-    R(m) = sum over pairs of w_i w_l r_m = sum_{j=1}^{D-m} s_{j+m} (n - s_j)
-
-and
-
-    even k:  delta(u, v) = 2 R(h)
-    odd k:   delta(u, v) = R(h) + R(h + 1),
-
-about k/2 products per pair, where the direct formula sums about k^2/8.
+Every pair is scored by delta.delta_from_sizes from the subtree sizes
+along its root path, read from one rooted pass per root vertex, without a
+cycle anatomy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 from typing import Iterator
 
-from .delta import ad_prime, delta_direct
+from .delta import ad_prime, delta_direct, delta_from_sizes
 from .errors import NoCandidates, RouteMismatch
 from .oracle import delta_oracle
 from .tree import Tree, _sizes, anatomize
@@ -60,9 +44,9 @@ def _non_adjacent_count(tree: Tree) -> int:
 def _candidates(tree: Tree, pruned: bool) -> Iterator[tuple[int, int, int, list[int]]]:
     """Candidate pairs (u, v), u < v, at distance d >= 2, grouped by v, with
     sizes = [s_0, ..., s_d], the subtree sizes along the path from v to u
-    in the tree rooted at v (see the module docstring).  With pruned, leaf
-    pairs are dropped by the pruning rule.  sizes is reused: read it before
-    asking for the next pair."""
+    in the tree rooted at v.  With pruned, leaf pairs are dropped by the
+    pruning rule.  sizes is reused: read it before asking for the next
+    pair."""
     n = tree.n
     leaf = [len(a) == 1 for a in tree.adjacency]
     for v in range(1, n):
@@ -80,16 +64,6 @@ def _candidates(tree: Tree, pruned: bool) -> Iterator[tuple[int, int, int, list[
             if pruned and (leaf[u] or leaf[v]) and d not in PRUNE_EXCEPTION_DISTANCES:
                 continue
             yield u, v, d, sizes
-
-
-def _savings(n: int, d: int, sizes: list[int]) -> int:
-    """delta(u, v) for a pair at distance d from its root-path sizes."""
-    h = (d + 1) // 2
-    rest = [n - s for s in sizes[1 : d - h + 1]]
-    near = sum(map(mul, sizes[h + 1 :], rest))
-    if d % 2:  # k = d + 1 even
-        return 2 * near
-    return near + sum(map(mul, sizes[h + 2 :], rest))
 
 
 def candidate_pairs(tree: Tree, strategy: str = "exhaustive") -> list[tuple[int, int]]:
@@ -115,7 +89,7 @@ def best_edge(tree: Tree, strategy: str = "exhaustive") -> SearchReport:
     evaluated = 0
     for u, v, d, sizes in _candidates(tree, strategy == "pruned"):
         evaluated += 1
-        score = delta_oracle(tree, u, v) if oracle else _savings(n, d, sizes)
+        score = delta_oracle(tree, u, v) if oracle else delta_from_sizes(n, d, sizes)
         if score > best:
             best = score
             best_pairs = [(u, v)]

@@ -8,7 +8,7 @@ stored 0-based in tuples: x_side[0] is the x anchor itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .errors import (
     AdjacentPair,
@@ -199,57 +199,41 @@ def path_between(tree: Tree, x: int, y: int) -> list[int]:
     return _walk_up(_rooted(tree, y)[0], x)
 
 
-def anatomizer(tree: Tree, y: int) -> Callable[[int], CycleAnatomy]:
-    """The cycle anatomy of (x, y) as a function of x, from one pass rooted
-    at y.
-
-    With the tree rooted at y, the subtree of path vertex v_i holds exactly
-    the components hanging off v_0 = x .. v_i, so the hanging weights are
-    w(x) = size(x) and w(v_i) = size(v_i) - size(v_{i-1}).  The pass costs
-    O(n) once, each x then O(k).
-    """
-    tree.check_ids(y)
-    parent, size, _ = _sizes(tree, y)
-
-    def anatomy(x: int) -> CycleAnatomy:
-        _check_pair(tree, x, y)
-        path = _walk_up(parent, x)
-        k = len(path)
-        if k == 2:
-            raise AdjacentPair(f"({x}, {y}) is an edge of the tree")
-        k_prime = k // 2
-        weight = [size[x]] + [size[v] - size[u] for u, v in zip(path, path[1:])]
-        if k % 2:
-            middle = path[k_prime]
-            weight_middle = weight[k_prime]
-        else:
-            middle = None
-            weight_middle = None
-        return CycleAnatomy(
-            x=x,
-            y=y,
-            k=k,
-            k_prime=k_prime,
-            x_side=tuple(path[:k_prime]),
-            y_side=tuple(path[::-1][:k_prime]),
-            middle=middle,
-            weights_x=tuple(weight[:k_prime]),
-            weights_y=tuple(weight[::-1][:k_prime]),
-            weight_middle=weight_middle,
-        )
-
-    return anatomy
-
-
 def anatomize(tree: Tree, x: int, y: int) -> CycleAnatomy:
     """Cycle anatomy for candidate shortcut edge (x, y).
 
     Requires d_T(x, y) >= 2 so the added edge creates a simple cycle of
-    length k >= 3.  Each call makes one rooted pass; to anatomize many
-    pairs that share y, call anatomizer once.
+    length k >= 3.  With the tree rooted at y, the subtree of path vertex
+    v_i holds exactly the components hanging off v_0 = x .. v_i, so the
+    hanging weights are w(x) = size(x) and w(v_i) = size(v_i) -
+    size(v_{i-1}).  One O(n) rooted pass.
     """
     _check_pair(tree, x, y)
-    return anatomizer(tree, y)(x)
+    parent, size, _ = _sizes(tree, y)
+    path = _walk_up(parent, x)
+    k = len(path)
+    if k == 2:
+        raise AdjacentPair(f"({x}, {y}) is an edge of the tree")
+    k_prime = k // 2
+    weight = [size[x]] + [size[v] - size[u] for u, v in zip(path, path[1:])]
+    if k % 2:
+        middle = path[k_prime]
+        weight_middle = weight[k_prime]
+    else:
+        middle = None
+        weight_middle = None
+    return CycleAnatomy(
+        x=x,
+        y=y,
+        k=k,
+        k_prime=k_prime,
+        x_side=tuple(path[:k_prime]),
+        y_side=tuple(path[::-1][:k_prime]),
+        middle=middle,
+        weights_x=tuple(weight[:k_prime]),
+        weights_y=tuple(weight[::-1][:k_prime]),
+        weight_middle=weight_middle,
+    )
 
 
 def leaves(tree: Tree) -> set[int]:

@@ -60,7 +60,7 @@ class TestFamilyOptimum:
     def test_values(self):
         assert family_optimum(16) == (11, 3, 4, 234)
         assert family_optimum(8) == (6, 2, 2, 24)
-        assert family_optimum(5) == (3, 2, 2, 4)
+        assert family_optimum(5) == (5, 1, 1, 5)
 
     def test_domain(self):
         with pytest.raises(OutOfDomain):
@@ -134,6 +134,14 @@ class TestAudit:
         assert report.empirical_max == 24
         assert report.family_max == 24
         assert report.lower_bound_ok
+
+    def test_n5_path_is_optimal(self):
+        # the best n=5 tree is P5 joined end to end (k = n, w = (1, 1)); the
+        # only discrepancy left is the claimed k=3 case formula, 6 vs 4
+        report = audit(5, exhaustive_limit=5)
+        assert report.empirical_max == report.family_max == 5
+        assert report.argmax_window_ok
+        assert [d["quantity_a"] for d in report.discrepancies] == ["case_formula(n=5, k=3)"]
 
     def test_to_dict_serializes(self):
         import json

@@ -5,7 +5,7 @@ import pytest
 from insetedge import serialize_tree
 from insetedge.cli import main
 
-from conftest import path_tree, spider_tree
+from conftest import path_tree
 
 
 @pytest.fixture
@@ -178,25 +178,3 @@ class TestErrors:
         code, out = run(capsys, command, str(f))
         assert code == 1
         assert out["error"] == "MalformedLine"
-
-    @pytest.mark.parametrize(
-        "env, argv", [("abc", []), ("1", ["--threads", "0"])], ids=["env-abc", "flag-0"]
-    )
-    def test_threads_must_be_positive(self, capsys, monkeypatch, env, argv):
-        monkeypatch.setenv("INSET_THREADS", env)
-        with pytest.raises(SystemExit) as exc:
-            main([*argv, "random", "--n", "5"])
-        assert exc.value.code == 2
-        assert capsys.readouterr().out == ""
-
-
-class TestDeterminism:
-    def test_threads_do_not_change_output(self, capsys, tmp_path):
-        f = tmp_path / "spider.tree"
-        f.write_text(serialize_tree(spider_tree()))
-        outputs = set()
-        for threads in ("1", "4", "16"):
-            code = main(["--threads", threads, "best", str(f)])
-            assert code == 0
-            outputs.add(capsys.readouterr().out)
-        assert len(outputs) == 1

@@ -21,7 +21,8 @@ from insetedge import (
 )
 from insetedge.cli import main
 from insetedge.errors import NoCandidates, RouteMismatch
-from insetedge.search import _candidates, _savings
+from insetedge.delta import delta_from_sizes
+from insetedge.search import _candidates
 
 from conftest import path_tree, star_tree
 
@@ -141,7 +142,7 @@ class TestSavings:
     @settings(max_examples=60, deadline=None)
     def test_every_pair_matches_direct(self, t):
         for u, v, d, sizes in _candidates(t, False):
-            assert _savings(t.n, d, sizes) == delta_direct(anatomize(t, u, v))
+            assert delta_from_sizes(t.n, d, sizes) == delta_direct(anatomize(t, u, v))
 
 
 class TestRouteMismatch:
