@@ -10,15 +10,16 @@ suppressing it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 from typing import Optional
 
 import numpy as np
 
-from .delta import delta_from_weights
+from .delta import delta_direct, delta_from_weights
 from .errors import OutOfDomain
 from .oracle import delta_oracle
 from .randgen import prufer_decode
@@ -68,40 +69,48 @@ def claimed_case_formula(n: int, k: int) -> int:
     return int(value)
 
 
+def _check_family(n: int, k: int, w_x: int, w_y: int) -> None:
+    """Raise OutOfDomain unless (k, w_x, w_y) is a family configuration on
+    n vertices: k >= 3 and positive anchor weights summing to n - k + 2."""
+    if k < 3 or w_x < 1 or w_y < 1 or w_x + w_y != n - k + 2:
+        raise OutOfDomain(f"n={n}, k={k}, w_x={w_x}, w_y={w_y}")
+
+
 def family_delta(n: int, k: int, w_x: int, w_y: int) -> int:
     """Exact savings of the extremal-family configuration: cycle length k,
     anchor weights w_x / w_y, every other cycle weight 1."""
-    if k < 3 or w_x < 1 or w_y < 1 or w_x + w_y != n - k + 2:
-        raise OutOfDomain(f"n={n}, k={k}, w_x={w_x}, w_y={w_y}")
+    _check_family(n, k, w_x, w_y)
     kp = k // 2
     weights_x = [w_x] + [1] * (kp - 1)
     weights_y = [w_y] + [1] * (kp - 1)
     return delta_from_weights(k, weights_x, weights_y)
 
 
-def family_optimum(n: int) -> tuple[int, int, int, int]:
-    """(k, w_x, w_y, value) maximizing family_delta over all feasible k with
-    the balanced anchor split, then all splits at the best k.  Ties break
-    toward smaller k."""
-    if n < 5:
-        raise OutOfDomain(f"n={n} < 5")
-    best: Optional[tuple[int, int, int, int]] = None
+# one entry: audit reads the table that its family_optimum call just built
+@lru_cache(maxsize=1)
+def _family_table(n: int) -> tuple[tuple[int, int, int, int], ...]:
+    """(k, w_x, w_y, family_delta) for 3 <= k <= n with the balanced anchor
+    split w_x = floor(m/2), w_y = ceil(m/2), m = n - k + 2, in order of k."""
+    table = []
     for k in range(3, n + 1):
         m = n - k + 2
         w_x, w_y = m // 2, (m + 1) // 2
-        value = family_delta(n, k, w_x, w_y)
-        if best is None or value > best[3]:
-            best = (k, w_x, w_y, value)
-    assert best is not None
-    k, w_x, w_y, value = best
-    m = n - k + 2
-    for a in range(1, m):
-        v = family_delta(n, k, a, m - a)
-        if v > value:
-            w_x, w_y, value = a, m - a, v
-    if w_x > w_y:
-        w_x, w_y = w_y, w_x
-    return (k, w_x, w_y, value)
+        table.append((k, w_x, w_y, family_delta(n, k, w_x, w_y)))
+    return tuple(table)
+
+
+def family_optimum(n: int) -> tuple[int, int, int, int]:
+    """(k, w_x, w_y, value) maximizing family_delta over every feasible k and
+    anchor split.  Ties break toward smaller k, and w_x <= w_y.
+
+    Only the balanced split needs evaluating.  Every cycle weight but the
+    two anchors is 1 and the side coefficients are symmetric, so the
+    savings are (k - 2) w_x w_y + c_1 (w_x + w_y) + c_0 with c_0, c_1
+    fixed by k.  With w_x + w_y = m fixed, the product w_x w_y, and with
+    it the savings, is largest at the balanced split."""
+    if n < 5:
+        raise OutOfDomain(f"n={n} < 5")
+    return max(_family_table(n), key=lambda row: row[3])
 
 
 def build_family_tree(
@@ -112,8 +121,7 @@ def build_family_tree(
     attachments shaped as a star or a path.  Returns (tree, (0, k-1))."""
     if shape not in ("star", "path"):
         raise OutOfDomain(f"shape={shape!r}")
-    if k < 3 or w_x < 1 or w_y < 1 or w_x + w_y != n - k + 2:
-        raise OutOfDomain(f"n={n}, k={k}, w_x={w_x}, w_y={w_y}")
+    _check_family(n, k, w_x, w_y)
     edges = [(i, i + 1) for i in range(k - 1)]
     next_id = k
 
@@ -213,14 +221,9 @@ def exhaustive_scan(n: int) -> ExhaustiveScan:
         if not np.array_equal(ones, leaf_pairs_at_2):
             lower_ok = False
 
-    pending: list[tuple[int, ...]] = []
-    for code in product(range(n), repeat=n - 2):
-        pending.append(code)
-        if len(pending) == _SCAN_BATCH:
-            flush(pending)
-            pending = []
-    if pending:
-        flush(pending)
+    codes = product(range(n), repeat=n - 2)
+    while batch := list(islice(codes, _SCAN_BATCH)):
+        flush(batch)
 
     assert min_delta is not None
     return ExhaustiveScan(
@@ -250,14 +253,10 @@ def critical_points(n: int) -> dict:
     }
     candidates = sorted(
         {
-            int(v.__floor__())
+            rounded(v)
             for case in (integer_case, fractional_case)
             for v in case.values()
-        }
-        | {
-            int(v.__ceil__())
-            for case in (integer_case, fractional_case)
-            for v in case.values()
+            for rounded in (math.floor, math.ceil)
         }
     )
     return {
@@ -283,40 +282,42 @@ class BoundsReport:
     discrepancies: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        def frac(v):
-            return f"{v.numerator}/{v.denominator}" if isinstance(v, Fraction) else v
-
-        cp = {
-            case: ({k: frac(v) for k, v in vals.items()} if isinstance(vals, dict) else vals)
-            for case, vals in self.critical_points.items()
-        }
         return {
-            "n": self.n,
-            "claimed_upper": self.claimed_upper,
-            "family_max": self.family_max,
-            "family_argmax": {
-                "k": self.family_argmax[0],
-                "w_x": self.family_argmax[1],
-                "w_y": self.family_argmax[2],
-            },
+            **asdict(self),
+            "family_argmax": dict(zip(("k", "w_x", "w_y"), self.family_argmax)),
             "case_values": {str(k): v for k, v in sorted(self.case_values.items())},
-            "critical_points": cp,
-            "oracle_confirmed": self.oracle_confirmed,
-            "argmax_window_ok": self.argmax_window_ok,
-            "empirical_max": self.empirical_max,
-            "empirical_tree_count": self.empirical_tree_count,
-            "lower_bound_ok": self.lower_bound_ok,
-            "discrepancies": self.discrepancies,
+            "critical_points": {
+                case: (
+                    {name: f"{v.numerator}/{v.denominator}" for name, v in vals.items()}
+                    if isinstance(vals, dict)
+                    else vals
+                )
+                for case, vals in self.critical_points.items()
+            },
         }
 
 
 def audit(n: int, exhaustive_limit: int = 0) -> BoundsReport:
     """Evaluate every claimed bound against the exact family values, confirm
     the family optimum on a built tree with the brute-force oracle, and (for
-    n <= exhaustive_limit) against the true maximum over all labeled trees."""
+    n <= exhaustive_limit) against the true maximum over all labeled trees.
+    Every failed check is one discrepancy record, in the order checked."""
     if n < 5:
         raise OutOfDomain(f"n={n} < 5")
     discrepancies: list[dict] = []
+
+    def check(ok: bool, quantity_a: str, value_a, quantity_b: str, value_b, note: str) -> bool:
+        if not ok:
+            discrepancies.append(
+                {
+                    "quantity_a": quantity_a,
+                    "value_a": value_a,
+                    "quantity_b": quantity_b,
+                    "value_b": value_b,
+                    "note": note,
+                }
+            )
+        return ok
 
     try:
         claimed = claimed_upper(n)
@@ -326,66 +327,41 @@ def audit(n: int, exhaustive_limit: int = 0) -> BoundsReport:
     k_opt, w_x, w_y, family_max = family_optimum(n)
 
     case_values: dict[int, dict[str, int]] = {}
-    for k in range(3, n):
-        m = n - k + 2
-        exact = family_delta(n, k, m // 2, (m + 1) // 2)
-        entry = {"exact": exact}
-        try:
-            entry["claimed"] = claimed_case_formula(n, k)
-        except OutOfDomain:
-            entry["claimed"] = None
-        case_values[k] = entry
-        if entry["claimed"] is not None and entry["claimed"] != exact:
-            discrepancies.append(
-                {
-                    "quantity_a": f"case_formula(n={n}, k={k})",
-                    "value_a": entry["claimed"],
-                    "quantity_b": f"family_delta(n={n}, k={k}, balanced)",
-                    "value_b": exact,
-                    "note": "claimed per-k formula disagrees with exact evaluation",
-                }
-            )
-
-    if claimed is not None and claimed != family_max:
-        discrepancies.append(
-            {
-                "quantity_a": f"claimed_upper(n={n})",
-                "value_a": claimed,
-                "quantity_b": "family_max",
-                "value_b": family_max,
-                "note": "claimed global bound disagrees with exact family optimum",
-            }
+    for k, _, _, exact in _family_table(n)[:-1]:  # the case formulas stop at k = n - 1
+        case = claimed_case_formula(n, k)
+        case_values[k] = {"exact": exact, "claimed": case}
+        check(
+            case == exact,
+            f"case_formula(n={n}, k={k})", case,
+            f"family_delta(n={n}, k={k}, balanced)", exact,
+            "claimed per-k formula disagrees with exact evaluation",
         )
+
+    check(
+        claimed is None or claimed == family_max,
+        f"claimed_upper(n={n})", claimed,
+        "family_max", family_max,
+        "claimed global bound disagrees with exact family optimum",
+    )
 
     # confirm the optimum on a concrete tree, both formula and oracle
     extremal_tree, pair = build_family_tree(n, k_opt, w_x, w_y, "star")
-    anatomy = anatomize(extremal_tree, *pair)
-    direct = delta_from_weights(anatomy.k, anatomy.weights_x, anatomy.weights_y)
+    direct = delta_direct(anatomize(extremal_tree, *pair))
     oracle_value = delta_oracle(extremal_tree, *pair)
-    oracle_confirmed = direct == family_max == oracle_value
-    if not oracle_confirmed:
-        discrepancies.append(
-            {
-                "quantity_a": "family_max",
-                "value_a": family_max,
-                "quantity_b": "delta_oracle(built extremal tree)",
-                "value_b": oracle_value,
-                "note": "oracle confirmation failed",
-            }
-        )
+    oracle_confirmed = check(
+        direct == family_max == oracle_value,
+        "family_max", family_max,
+        "delta_oracle(built extremal tree)", oracle_value,
+        "oracle confirmation failed",
+    )
 
     window = range(-(-n // 2) + 1, -(-n // 2) + 5)
-    argmax_window_ok = k_opt in window
-    if not argmax_window_ok:
-        discrepancies.append(
-            {
-                "quantity_a": "family argmax k",
-                "value_a": k_opt,
-                "quantity_b": "claimed window ceil(n/2)+1..ceil(n/2)+4",
-                "value_b": [window.start, window.stop - 1],
-                "note": "family argmax outside the claimed window",
-            }
-        )
+    argmax_window_ok = check(
+        k_opt in window,
+        "family argmax k", k_opt,
+        "claimed window ceil(n/2)+1..ceil(n/2)+4", [window.start, window.stop - 1],
+        "family argmax outside the claimed window",
+    )
 
     report = BoundsReport(
         n=n,
@@ -404,24 +380,16 @@ def audit(n: int, exhaustive_limit: int = 0) -> BoundsReport:
         report.empirical_max = scan.max_delta
         report.empirical_tree_count = scan.tree_count
         report.lower_bound_ok = scan.lower_bound_ok
-        if scan.max_delta != family_max:
-            discrepancies.append(
-                {
-                    "quantity_a": "empirical_max (all labeled trees)",
-                    "value_a": scan.max_delta,
-                    "quantity_b": "family_max",
-                    "value_b": family_max,
-                    "note": "global maximum differs from family optimum",
-                }
-            )
-        if not scan.lower_bound_ok:
-            discrepancies.append(
-                {
-                    "quantity_a": "min delta / equality condition",
-                    "value_a": scan.min_delta,
-                    "quantity_b": "claimed lower bound 1 at leaf pairs at distance 2",
-                    "value_b": 1,
-                    "note": "lower-bound equality condition violated",
-                }
-            )
+        check(
+            scan.max_delta == family_max,
+            "empirical_max (all labeled trees)", scan.max_delta,
+            "family_max", family_max,
+            "global maximum differs from family optimum",
+        )
+        check(
+            scan.lower_bound_ok,
+            "min delta / equality condition", scan.min_delta,
+            "claimed lower bound 1 at leaf pairs at distance 2", 1,
+            "lower-bound equality condition violated",
+        )
     return report

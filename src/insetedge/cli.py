@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .bounds import audit, build_family_tree
 from .counting import OpCounter
-from .delta import ad_prime, delta_direct, delta_term_count
+from .delta import DeltaRecord, ad_prime, delta_direct, delta_term_count
 from .errors import InsetEdgeError, MalformedLine
 from .matrixform import delta_via_matrix
 from .oracle import delta_oracle
@@ -45,7 +45,7 @@ def _load(path: str) -> Tree:
     return parse_tree(text)
 
 
-def _record_payload(rec) -> dict:
+def _record_payload(rec: DeltaRecord) -> dict:
     return {
         "x": rec.x,
         "y": rec.y,
@@ -81,17 +81,12 @@ def _cmd_delta(args) -> dict:
         anatomy = anatomize(tree, x, y)
         k = anatomy.k
         d = delta_via_matrix(anatomy) if args.method == "matrix" else delta_direct(anatomy)
-    ad = ad_prime(d, tree.n)
+    record = DeltaRecord(x=x, y=y, k=k, d_prime=d, ad_prime=ad_prime(d, tree.n))
     return {
         "command": "delta",
         "file": args.file,
         "method": args.method,
-        "x": x,
-        "y": y,
-        "k": k,
-        "d_prime": d,
-        "ad_prime": _frac(ad),
-        "ad_prime_decimal": float(ad),
+        **_record_payload(record),
     }
 
 
@@ -267,20 +262,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_best)
 
     p = sub.add_parser("bounds", help="audit claimed extremal bounds")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--exhaustive-limit", type=int, default=0)
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("extremal", help="build an extremal-family tree")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--wx", type=int, required=True)
-    p.add_argument("--wy", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--k", type=_positive_int, required=True)
+    p.add_argument("--wx", type=_positive_int, required=True)
+    p.add_argument("--wy", type=_positive_int, required=True)
     p.add_argument("--shape", choices=("star", "path"), default="star")
     p.set_defaults(func=_cmd_extremal)
 
     p = sub.add_parser("random", help="seeded random-tree corpus and statistics")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--count", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--stats", choices=("leaves", "pruning"), default=None)
@@ -291,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("bench", help="sweep vs recompute operation-count scaling")
-    p.add_argument("--sizes", nargs="+", type=int, default=[256, 512, 1024, 2048])
+    p.add_argument("--sizes", nargs="+", type=_positive_int, default=[256, 512, 1024, 2048])
     p.set_defaults(func=_cmd_bench)
 
     return parser

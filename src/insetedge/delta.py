@@ -78,12 +78,11 @@ def delta_term_count(k: int) -> int:
     return k_prime * (k_prime + 1) // 2 if k % 2 else k_prime * (k_prime - 1) // 2
 
 
-def delta_from_sizes(
-    n: int, d: int, sizes: Sequence[int], counter: Optional[OpCounter] = None
-) -> int:
-    """Savings of a pair at distance d >= 2 from its root-path sizes
-    [s_0 = n, s_1, ..., s_d] (see the module docstring).  The counter is
-    charged d // 2 per sum: one sum for even k, two for odd k."""
+def delta_from_sizes(sizes: Sequence[int], counter: Optional[OpCounter] = None) -> int:
+    """Savings of a pair at distance d = len(sizes) - 1 >= 2 from its
+    root-path sizes [s_0 = n, s_1, ..., s_d] (see the module docstring).
+    The counter is charged d // 2 per sum: one sum for even k, two for odd k."""
+    n, d = sizes[0], len(sizes) - 1
     h = (d + 1) // 2
     rest = [n - s for s in sizes[1 : d - h + 1]]
     if counter is not None:
@@ -94,9 +93,9 @@ def delta_from_sizes(
     return near + sum(map(mul, sizes[h + 2 :], rest))
 
 
-def delta_direct(anatomy: CycleAnatomy, counter: Optional[OpCounter] = None) -> int:
+def delta_direct(anatomy: CycleAnatomy) -> int:
     """Savings D(T) - D(T + xy) evaluated directly from the anatomy."""
-    return delta_from_weights(anatomy.k, anatomy.weights_x, anatomy.weights_y, counter)
+    return delta_from_weights(anatomy.k, anatomy.weights_x, anatomy.weights_y)
 
 
 def ad_prime(d_prime: int, n: int) -> Fraction:

@@ -11,9 +11,8 @@ over the nonzero anti-triangle of F_k and never materializes the matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable
 
-from .counting import OpCounter
 from .errors import KTooSmall
 from .tree import CycleAnatomy
 
@@ -34,43 +33,32 @@ def _o_entry(k_prime: int, i: int, j: int) -> int:
     return 1 if i + j - 1 <= k_prime else 0
 
 
-def build_D(k: int) -> CoefficientMatrix:
+def _build(k: int, entry: Callable[[int, int, int], int]) -> CoefficientMatrix:
+    """The k' x k' matrix of entry(k', i, j), i and j 1-based."""
     if k < 3:
         raise KTooSmall(f"k={k}")
     kp = k // 2
     rows = tuple(
-        tuple(_d_entry(kp, i, j) for j in range(1, kp + 1)) for i in range(1, kp + 1)
+        tuple(entry(kp, i, j) for j in range(1, kp + 1)) for i in range(1, kp + 1)
     )
     return CoefficientMatrix(k, kp, rows)
+
+
+def build_D(k: int) -> CoefficientMatrix:
+    return _build(k, _d_entry)
 
 
 def build_O(k: int) -> CoefficientMatrix:
-    if k < 3:
-        raise KTooSmall(f"k={k}")
-    kp = k // 2
-    rows = tuple(
-        tuple(_o_entry(kp, i, j) for j in range(1, kp + 1)) for i in range(1, kp + 1)
-    )
-    return CoefficientMatrix(k, kp, rows)
+    return _build(k, _o_entry)
 
 
 def build_F(k: int) -> CoefficientMatrix:
     """F_k = D_k + O_k for odd k, D_k for even k."""
-    if k < 3:
-        raise KTooSmall(f"k={k}")
-    kp = k // 2
     odd = k % 2
-    rows = tuple(
-        tuple(
-            _d_entry(kp, i, j) + (odd and _o_entry(kp, i, j))
-            for j in range(1, kp + 1)
-        )
-        for i in range(1, kp + 1)
-    )
-    return CoefficientMatrix(k, kp, rows)
+    return _build(k, lambda kp, i, j: _d_entry(kp, i, j) + (odd and _o_entry(kp, i, j)))
 
 
-def delta_via_matrix(anatomy: CycleAnatomy, counter: Optional[OpCounter] = None) -> int:
+def delta_via_matrix(anatomy: CycleAnatomy) -> int:
     """Norm one of F_k entrywise-multiplied with the weight outer product.
 
     Only the nonzero anti-triangle of F_k is visited: j <= k'+1-i for odd k,
@@ -86,6 +74,4 @@ def delta_via_matrix(anatomy: CycleAnatomy, counter: Optional[OpCounter] = None)
         for j in range(1, kp + odd - i + 1):
             f = _d_entry(kp, i, j) + (odd and _o_entry(kp, i, j))
             total += f * wxi * wy[j - 1]
-    if counter is not None:
-        counter.add(kp * kp)
     return total

@@ -89,7 +89,7 @@ def best_edge(tree: Tree, strategy: str = "exhaustive") -> SearchReport:
     evaluated = 0
     for u, v, d, sizes in _candidates(tree, strategy == "pruned"):
         evaluated += 1
-        score = delta_oracle(tree, u, v) if oracle else delta_from_sizes(n, d, sizes)
+        score = delta_oracle(tree, u, v) if oracle else delta_from_sizes(sizes)
         if score > best:
             best = score
             best_pairs = [(u, v)]

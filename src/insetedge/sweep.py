@@ -5,17 +5,16 @@ path x = p_0, ..., p_{k-1} = y are the prefix sums of its hanging weights
 (c_{k-1} = n).  Rooting at p_b instead leaves the subtree of every p_i
 with i < b unchanged, so the pair (p_a, p_b) has root-path sizes
 [n, c_{b-1}, ..., c_a] and is scored by delta_from_sizes in O(b - a).
-The whole batch costs O(k^2) beyond the O(n) anatomy.
+The whole batch costs O(k^2) beyond one O(n) rooted pass.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
 from typing import Optional
 
 from .counting import OpCounter
 from .delta import DeltaRecord, ad_prime, delta_from_sizes
-from .tree import Tree, anatomize
+from .tree import Tree, _path_sizes
 
 
 def sweep_path(
@@ -28,17 +27,13 @@ def sweep_path(
     shifts, then y-advanced shifts; pairs whose own cycle length would drop
     below 3 (adjacent pairs) are omitted rather than errored.
     """
-    a = anatomize(tree, x, y)
-    n, k = tree.n, a.k
-    middle = () if a.middle is None else (a.middle,)
-    w_middle = () if a.middle is None else (a.weight_middle,)
-    path = a.x_side + middle + a.y_side[::-1]
     # size[i] = c_i, the subtree size of path[i] with the tree rooted at y
-    size = list(accumulate(a.weights_x + w_middle + a.weights_y[::-1]))
+    path, size = _path_sizes(tree, x, y)
+    n, k = tree.n, len(path)
 
     def record(lo: int, hi: int) -> DeltaRecord:
         d = hi - lo
-        delta = delta_from_sizes(n, d, [n, *reversed(size[lo:hi])], counter)
+        delta = delta_from_sizes([n, *reversed(size[lo:hi])], counter)
         return DeltaRecord(
             x=path[lo], y=path[hi], k=d + 1, d_prime=delta, ad_prime=ad_prime(delta, n)
         )

@@ -199,6 +199,18 @@ def path_between(tree: Tree, x: int, y: int) -> list[int]:
     return _walk_up(_rooted(tree, y)[0], x)
 
 
+def _path_sizes(tree: Tree, x: int, y: int) -> tuple[list[int], list[int]]:
+    """The path x = v_0, ..., v_{k-1} = y and, with the tree rooted at y,
+    the subtree size of each v_i (the last is n).  One O(n) rooted pass.
+    Raises AdjacentPair unless d_T(x, y) >= 2."""
+    _check_pair(tree, x, y)
+    parent, size, _ = _sizes(tree, y)
+    path = _walk_up(parent, x)
+    if len(path) == 2:
+        raise AdjacentPair(f"({x}, {y}) is an edge of the tree")
+    return path, [size[v] for v in path]
+
+
 def anatomize(tree: Tree, x: int, y: int) -> CycleAnatomy:
     """Cycle anatomy for candidate shortcut edge (x, y).
 
@@ -206,16 +218,12 @@ def anatomize(tree: Tree, x: int, y: int) -> CycleAnatomy:
     length k >= 3.  With the tree rooted at y, the subtree of path vertex
     v_i holds exactly the components hanging off v_0 = x .. v_i, so the
     hanging weights are w(x) = size(x) and w(v_i) = size(v_i) -
-    size(v_{i-1}).  One O(n) rooted pass.
+    size(v_{i-1}).
     """
-    _check_pair(tree, x, y)
-    parent, size, _ = _sizes(tree, y)
-    path = _walk_up(parent, x)
+    path, size = _path_sizes(tree, x, y)
     k = len(path)
-    if k == 2:
-        raise AdjacentPair(f"({x}, {y}) is an edge of the tree")
     k_prime = k // 2
-    weight = [size[x]] + [size[v] - size[u] for u, v in zip(path, path[1:])]
+    weight = size[:1] + [b - a for a, b in zip(size, size[1:])]
     if k % 2:
         middle = path[k_prime]
         weight_middle = weight[k_prime]

@@ -66,6 +66,19 @@ class TestFamilyOptimum:
         with pytest.raises(OutOfDomain):
             family_optimum(4)
 
+    @pytest.mark.parametrize("n", range(5, 41))
+    def test_balanced_split_is_optimal(self, n):
+        # every k and every anchor split; ties go to the smaller k, then to
+        # the first split found, and the split is reported with w_x <= w_y
+        best = None
+        for k in range(3, n + 1):
+            m = n - k + 2
+            for w_x in range(1, m):
+                value = family_delta(n, k, w_x, m - w_x)
+                if best is None or value > best[3]:
+                    best = (k, min(w_x, m - w_x), max(w_x, m - w_x), value)
+        assert family_optimum(n) == best
+
 
 class TestBuildFamilyTree:
     def test_star_shape(self):

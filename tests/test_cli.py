@@ -133,13 +133,6 @@ class TestRandom:
         assert out["mean_leaves"] > 0
         assert "exact_mean" in out and "asymptotic_mean" in out
 
-    @pytest.mark.parametrize("count", ["0", "-3"])
-    def test_count_must_be_positive(self, capsys, count):
-        with pytest.raises(SystemExit) as exc:
-            main(["random", "--n", "10", "--count", count, "--stats", "pruning"])
-        assert exc.value.code == 2
-        assert capsys.readouterr().out == ""
-
 
 class TestVerify:
     def test_ok(self, capsys, p7_file):
@@ -178,3 +171,32 @@ class TestErrors:
         code, out = run(capsys, command, str(f))
         assert code == 1
         assert out["error"] == "MalformedLine"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["random", "--n", "10", "--count", "0", "--stats", "pruning"],
+            ["random", "--n", "10", "--count", "-3", "--stats", "pruning"],
+            ["random", "--n", "0"],
+            ["bench", "--sizes", "0"],
+            ["bench", "--sizes", "64", "-2"],
+            ["extremal", "--n", "0", "--k", "3", "--wx", "1", "--wy", "1"],
+            ["extremal", "--n", "8", "--k", "6", "--wx", "0", "--wy", "4"],
+            ["bounds", "--n", "-1"],
+        ],
+        ids=[
+            "random-count-0",
+            "random-count-neg",
+            "random-n-0",
+            "bench-sizes-0",
+            "bench-sizes-neg",
+            "extremal-n-0",
+            "extremal-wx-0",
+            "bounds-n-neg",
+        ],
+    )
+    def test_nonpositive_int_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""

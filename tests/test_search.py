@@ -142,7 +142,7 @@ class TestSavings:
     @settings(max_examples=60, deadline=None)
     def test_every_pair_matches_direct(self, t):
         for u, v, d, sizes in _candidates(t, False):
-            assert delta_from_sizes(t.n, d, sizes) == delta_direct(anatomize(t, u, v))
+            assert delta_from_sizes(sizes) == delta_direct(anatomize(t, u, v))
 
 
 class TestRouteMismatch:
