@@ -36,6 +36,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _sweep_size(text: str) -> int:
+    # a path needs k >= 3 vertices before its end pair closes a cycle
+    value = int(text)
+    if value < 3:
+        raise argparse.ArgumentTypeError(f"a swept path needs at least 3 vertices, got {value}")
+    return value
+
+
 def _load(path: str) -> Tree:
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -286,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("bench", help="sweep vs recompute operation-count scaling")
-    p.add_argument("--sizes", nargs="+", type=_positive_int, default=[256, 512, 1024, 2048])
+    p.add_argument("--sizes", nargs="+", type=_sweep_size, default=[256, 512, 1024, 2048])
     p.set_defaults(func=_cmd_bench)
 
     return parser

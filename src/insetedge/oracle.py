@@ -2,12 +2,16 @@
 
 Everything here is a test fixture, deliberately independent of the
 formula-based modules it validates.  All sums are exact Python integers.
+delta_oracle brute-forces the tree's own sum D(T) once per tree (a
+one-entry cache keyed by the tree's value, holding only that BFS sum) and
+the graph with the added edge on every call.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 from .errors import AdjacentPair, Disconnected, SameVertex
@@ -70,6 +74,12 @@ def wiener_brute(graph: SimpleGraph) -> int:
     return total // 2
 
 
+@lru_cache(maxsize=1)
+def _tree_wiener(tree: Tree) -> int:
+    """wiener_brute of the tree itself, kept for the last tree asked about."""
+    return wiener_brute(SimpleGraph.from_tree(tree))
+
+
 def delta_oracle(tree: Tree, x: int, y: int) -> int:
     """Wiener decrease caused by adding edge (x, y): brute force before/after."""
     if x == y:
@@ -77,7 +87,7 @@ def delta_oracle(tree: Tree, x: int, y: int) -> int:
     tree.check_ids(x, y)
     if y in tree.adjacency[x]:
         raise AdjacentPair(f"({x}, {y}) is an edge of the tree")
-    before = wiener_brute(SimpleGraph.from_tree(tree))
+    before = _tree_wiener(tree)
     after = wiener_brute(tree_plus_edge(tree, x, y))
     return before - after
 

@@ -5,7 +5,8 @@ path x = p_0, ..., p_{k-1} = y are the prefix sums of its hanging weights
 (c_{k-1} = n).  Rooting at p_b instead leaves the subtree of every p_i
 with i < b unchanged, so the pair (p_a, p_b) has root-path sizes
 [n, c_{b-1}, ..., c_a] and is scored by delta_from_sizes in O(b - a).
-The whole batch costs O(k^2) beyond one O(n) rooted pass.
+The whole batch costs O(k^2), and reads the sizes from the tree's kept
+root-0 pass.
 """
 
 from __future__ import annotations

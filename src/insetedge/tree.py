@@ -8,6 +8,7 @@ stored 0-based in tuples: x_side[0] is the x anchor itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .errors import (
@@ -50,10 +51,17 @@ class Tree:
             adj[v].append(u)
         tree = cls(n, tuple(sorted(norm)), tuple(tuple(a) for a in adj))
         # n-1 edges and no duplicates: connected iff acyclic
-        reached = len(_rooted(tree, 0)[1])
+        reached = n - tree._root0[0].count(-1)
         if reached != n:
             raise NotATree(f"graph is disconnected ({reached} of {n} reached)")
         return tree
+
+    @cached_property
+    def _root0(self) -> tuple[list[int], list[int]]:
+        """The pass rooted at vertex 0, made once per tree and kept: parent
+        pointers (-1 for vertices not reached) and subtree sizes."""
+        parent, size, _ = _sizes(self, 0)
+        return parent, size
 
     def check_ids(self, *ids: int) -> None:
         """Raise IdOutOfRange unless every id is a vertex 0..n-1."""
@@ -174,7 +182,8 @@ def wiener_tree_linear(tree: Tree) -> int:
     tree into parts of sizes size(v) and n - size(v), and contributes
     size(v) * (n - size(v))."""
     n = tree.n
-    return sum(s * (n - s) for s in _sizes(tree, 0)[1][1:])
+    # the root's own term is n * 0
+    return sum(s * (n - s) for s in tree._root0[1])
 
 
 def bfs_distances(tree: Tree, source: int) -> list[int]:
@@ -201,14 +210,34 @@ def path_between(tree: Tree, x: int, y: int) -> list[int]:
 
 def _path_sizes(tree: Tree, x: int, y: int) -> tuple[list[int], list[int]]:
     """The path x = v_0, ..., v_{k-1} = y and, with the tree rooted at y,
-    the subtree size of each v_i (the last is n).  One O(n) rooted pass.
-    Raises AdjacentPair unless d_T(x, y) >= 2."""
+    the subtree size of each v_i (the last is n).  O(k): x and y climb the
+    kept root-0 pass to their lowest common ancestor a.  Below a on x's
+    side, rooting at y leaves a vertex's subtree as it is; from a toward y,
+    a vertex's subtree is everything outside the root-0 subtree of its
+    successor on the path.  Raises AdjacentPair unless d_T(x, y) >= 2."""
     _check_pair(tree, x, y)
-    parent, size, _ = _sizes(tree, y)
-    path = _walk_up(parent, x)
-    if len(path) == 2:
+    parent, size = tree._root0
+    up, down = [x], [y]
+    a, b = x, y
+    # a proper ancestor has the larger subtree, so the smaller side never
+    # climbs past the common ancestor
+    while a != b:
+        if size[a] < size[b]:
+            a = parent[a]
+            up.append(a)
+        else:
+            b = parent[b]
+            down.append(b)
+    # up ends with a, and down (reversed) runs from a to y
+    del up[-1]
+    down.reverse()
+    if len(up) + len(down) == 2:
         raise AdjacentPair(f"({x}, {y}) is an edge of the tree")
-    return path, [size[v] for v in path]
+    n = tree.n
+    sizes = [size[v] for v in up]
+    sizes += [n - size[v] for v in down[1:]]
+    sizes.append(n)
+    return up + down, sizes
 
 
 def anatomize(tree: Tree, x: int, y: int) -> CycleAnatomy:

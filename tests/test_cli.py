@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
-from insetedge import serialize_tree
+from insetedge import random_labeled_tree, serialize_tree
 from insetedge.cli import main
 
 from conftest import path_tree
@@ -150,6 +156,28 @@ class TestBench:
         for e in out["entries"]:
             assert e["recompute_ops"] > e["sweep_ops"]
 
+    def test_smallest_path(self, capsys):
+        code, out = run(capsys, "bench", "--sizes", "3")
+        assert code == 0
+        assert out["entries"] == [
+            {
+                "n": 3,
+                "k": 3,
+                "pairs": 1,
+                "sweep_ops": 2,
+                "recompute_ops": 1,
+                "ratio": 0.5,
+                "sweep_ops_per_k2": 2 / 9,
+            }
+        ]
+
+    @pytest.mark.parametrize("size", ["1", "2"])
+    def test_path_too_short_to_sweep_is_usage_error(self, capsys, size):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--sizes", "64", size])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestErrors:
     def test_missing_file(self, capsys):
@@ -200,3 +228,115 @@ class TestErrors:
             main(argv)
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
+
+
+# Fuzzing main(argv).  Numbers stay in [-3, 12] (the exhaustive limit at
+# 6 or below) so every example is fast: random garbage text has no digit,
+# and the fixed garbage tokens parse to 4 at most, so no example asks for
+# unbounded work.  No token contains 'h', so no abbreviation of --help
+# (which prints usage on stdout and exits 0) can form.
+NUMBER = st.sampled_from([str(i) for i in [*range(1, 13), 0, -1, -3]])
+GARBAGE = st.sampled_from(
+    ["", "x", "1.5", "0x3", "-", "--", "nan", "1e1", "\u0663", " 4", "--n", "-e"]
+) | st.text(alphabet="-.+_aenx /\x00\u00e9", max_size=4)
+VALUE = st.one_of(NUMBER, NUMBER, NUMBER, GARBAGE)
+
+
+def flag(name, values=VALUE):
+    return st.tuples(st.just(name), values)
+
+
+def optional(name, values):
+    return st.lists(flag(name, values), max_size=1).map(lambda found: found[0] if found else ())
+
+
+def choice(*names):
+    return st.one_of(st.sampled_from(names), st.sampled_from(names), GARBAGE)
+
+
+# the tokens after the subcommand, in groups; "@" stands for the tree file
+FUZZ_ARGS = {
+    "wiener": st.tuples(st.just(["@"])),
+    "delta": st.tuples(
+        st.just(["@", "-e"]),
+        st.tuples(VALUE, VALUE),
+        optional("--method", choice("direct", "matrix", "oracle")),
+    ),
+    "sweep": st.tuples(st.just(["@", "-p"]), st.tuples(VALUE, VALUE)),
+    "best": st.tuples(st.just(["@"]), optional("--strategy", choice("exhaustive", "pruned", "oracle"))),
+    "bounds": st.tuples(
+        flag("--n"),
+        optional("--exhaustive-limit", st.sampled_from(["4", "5", "6", "0", "-3"]) | GARBAGE),
+    ),
+    "extremal": st.tuples(
+        flag("--n"),
+        flag("--k"),
+        flag("--wx"),
+        flag("--wy"),
+        optional("--shape", choice("star", "path")),
+    ),
+    "random": st.tuples(
+        flag("--n"),
+        optional("--count", VALUE),
+        optional("--seed", VALUE | st.integers().map(str)),
+        optional("--stats", choice("leaves", "pruning")),
+    ),
+    "verify": st.tuples(st.just(["@"])),
+    "bench": st.tuples(st.just(["--sizes"]), st.lists(VALUE, min_size=1, max_size=3)),
+}
+
+TREE_DOCUMENTS = st.builds(random_labeled_tree, st.integers(2, 12), st.integers(0, 2**32)).map(
+    lambda t: serialize_tree(t).encode()
+)
+TREE_FILES = st.one_of(
+    st.binary(max_size=48),
+    TREE_DOCUMENTS,
+    TREE_DOCUMENTS,
+    st.tuples(st.builds(path_tree, st.integers(1, 12)), st.binary(max_size=6)).map(
+        lambda tb: serialize_tree(tb[0]).encode() + tb[1]
+    ),
+)
+
+
+@st.composite
+def fuzz_argv(draw, command):
+    argv = [command] + [token for group in draw(FUZZ_ARGS[command]) for token in group]
+    # now and then a stray token, or one token too few
+    if draw(st.integers(0, 7)) == 7:
+        argv.insert(draw(st.integers(0, len(argv))), draw(VALUE))
+    if draw(st.integers(0, 7)) == 7:
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    return argv
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ_ARGS))
+class TestFuzz:
+    @given(
+        data=st.data(),
+        tree_file=TREE_FILES,
+        where=st.sampled_from(["file"] * 4 + ["missing", "directory"]),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_exit_code_and_one_json_document(self, command, data, tree_file, where):
+        argv = data.draw(fuzz_argv(command))
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "t.tree")
+            with open(path, "wb") as fh:
+                fh.write(tree_file)
+            target = {"file": path, "missing": os.path.join(tmp, "none.tree"), "directory": tmp}[where]
+            argv = [target if token == "@" else token for token in argv]
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+        event(f"exit {code}")
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert out.getvalue() == ""
+        else:
+            text = out.getvalue()
+            assert text.endswith("\n") and text.count("\n") == 1
+            assert isinstance(json.loads(text), dict)

@@ -2,8 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import insetedge.oracle
 from insetedge import (
     SimpleGraph,
+    Tree,
     delta_oracle,
     random_labeled_tree,
     tree_plus_edge,
@@ -89,3 +91,48 @@ class TestTreePlusEdge:
         with pytest.raises(IdOutOfRange):
             tree_plus_edge(p5, 0, -1)
 
+
+def non_adjacent_pairs(tree):
+    return [
+        (u, v)
+        for u in range(tree.n)
+        for v in range(u + 1, tree.n)
+        if v not in tree.adjacency[u]
+    ]
+
+
+class TestTreeSumOncePerTree:
+    @pytest.fixture
+    def brute_calls(self, monkeypatch):
+        # start from an empty cache, so the first call on a tree is a miss
+        insetedge.oracle._tree_wiener.cache_clear()
+        calls = []
+
+        def counting(graph):
+            calls.append(graph)
+            return wiener_brute(graph)
+
+        monkeypatch.setattr(insetedge.oracle, "wiener_brute", counting)
+        return calls
+
+    def test_pairs_plus_one(self, brute_calls):
+        t = random_labeled_tree(14, 3)
+        pairs = non_adjacent_pairs(t)
+        for u, v in pairs:
+            delta_oracle(t, u, v)
+        assert len(brute_calls) == len(pairs) + 1
+
+    def test_interleaved_trees_never_stale(self, brute_calls):
+        edges = random_labeled_tree(12, 1).edges
+        a, a_copy = Tree.from_edges(12, edges), Tree.from_edges(12, edges)
+        b = random_labeled_tree(12, 2)
+        assert a != b and a_copy == a and a_copy is not a
+        # the copy equals the tree just asked about, so its sum is a hit
+        for t, misses in ((a, 1), (b, 1), (a, 1), (a_copy, 0)):
+            del brute_calls[:]
+            before = wiener_brute(SimpleGraph.from_tree(t))
+            pairs = non_adjacent_pairs(t)
+            for u, v in pairs:
+                after = wiener_brute(tree_plus_edge(t, u, v))
+                assert delta_oracle(t, u, v) == before - after
+            assert len(brute_calls) == len(pairs) + misses

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import insetedge.tree
 from insetedge import (
     Tree,
     anatomize,
@@ -13,6 +14,8 @@ from insetedge import (
     path_between,
     random_labeled_tree,
     serialize_tree,
+    sweep_path,
+    wiener_tree_linear,
 )
 from insetedge.errors import (
     AdjacentPair,
@@ -189,6 +192,81 @@ class TestAnatomyOnRandomTrees:
                 w_mid = () if a.middle is None else (a.weight_middle,)
                 weights = a.weights_x + w_mid + a.weights_y[::-1]
                 assert list(weights) == component_sizes_without_path(t, path)
+
+
+def rooted_at_y_reference(tree, x, y):
+    """The path x..y and, with the tree rooted at y, the subtree size of
+    each path vertex, from one O(n) depth-first pass rooted at y."""
+    parent = [-1] * tree.n
+    parent[y] = y
+    order = []
+    stack = [y]
+    while stack:
+        u = stack.pop()
+        order.append(u)
+        for w in tree.adjacency[u]:
+            if parent[w] < 0:
+                parent[w] = u
+                stack.append(w)
+    size = [1] * tree.n
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
+    path = [x]
+    while path[-1] != y:
+        path.append(parent[path[-1]])
+    return path, [size[v] for v in path]
+
+
+class TestPathSizes:
+    # paths (0 at one end: every pair has one endpoint the other's
+    # ancestor), stars (every leaf pair meets at vertex 0) and random trees
+    trees = st.one_of(
+        st.builds(path_tree, st.integers(3, 60)),
+        st.builds(star_tree, st.integers(3, 60)),
+        st.builds(random_labeled_tree, st.integers(3, 60), st.integers(0, 2**32)),
+    )
+
+    @given(t=trees)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_rooted_at_y(self, t):
+        for x in range(t.n):
+            for y in range(t.n):
+                if x == y:
+                    continue
+                if y in t.adjacency[x]:
+                    with pytest.raises(AdjacentPair):
+                        insetedge.tree._path_sizes(t, x, y)
+                else:
+                    assert insetedge.tree._path_sizes(t, x, y) == rooted_at_y_reference(t, x, y)
+
+    def test_pair_checks(self, spider):
+        with pytest.raises(SameVertex):
+            insetedge.tree._path_sizes(spider, 2, 2)
+        for x, y in ((-1, 2), (2, 5), (0, 5)):
+            with pytest.raises(IdOutOfRange):
+                insetedge.tree._path_sizes(spider, x, y)
+        with pytest.raises(AdjacentPair):
+            insetedge.tree._path_sizes(spider, 4, 0)
+
+
+class TestKeptRootedPass:
+    def test_no_pass_after_the_tree_is_built(self, monkeypatch):
+        t = random_labeled_tree(30, 7)
+        roots = []
+        rooted = insetedge.tree._rooted
+
+        def counting(tree, root):
+            roots.append(root)
+            return rooted(tree, root)
+
+        monkeypatch.setattr(insetedge.tree, "_rooted", counting)
+        for x in range(t.n):
+            for y in range(t.n):
+                if x != y and y not in t.adjacency[x]:
+                    anatomize(t, x, y)
+                    sweep_path(t, x, y)
+        wiener_tree_linear(t)
+        assert roots == []
 
 
 class TestLeaves:
