@@ -11,7 +11,7 @@ from .bounds import (
 )
 from .counting import OpCounter
 from .delta import DeltaRecord, ad_prime, delta_direct, delta_from_weights
-from .matrixform import CoefficientMatrix, build_F, delta_via_matrix
+from .matrixform import build_F, delta_via_matrix
 from .oracle import SimpleGraph, delta_oracle, tree_plus_edge, wiener_brute
 from .randgen import Corpus, SplitMix64, leaf_stats, random_labeled_tree
 from .search import SearchReport, best_edge, candidate_pairs, pruning_ratio
@@ -32,7 +32,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundsReport",
-    "CoefficientMatrix",
     "Corpus",
     "CycleAnatomy",
     "DeltaRecord",

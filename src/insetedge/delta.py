@@ -81,16 +81,20 @@ def delta_term_count(k: int) -> int:
 def delta_from_sizes(sizes: Sequence[int], counter: Optional[OpCounter] = None) -> int:
     """Savings of a pair at distance d = len(sizes) - 1 >= 2 from its
     root-path sizes [s_0 = n, s_1, ..., s_d] (see the module docstring).
-    The counter is charged d // 2 per sum: one sum for even k, two for odd k."""
+    Each ramp sum is n * sum(s_{j+m}) - sum(s_{j+m} s_j), two C-level sums.
+    The counter is charged the d // 2 terms of each ramp sum: one sum for
+    even k, two for odd k."""
     n, d = sizes[0], len(sizes) - 1
     h = (d + 1) // 2
-    rest = [n - s for s in sizes[1 : d - h + 1]]
+    low = sizes[1 : d - h + 1]
     if counter is not None:
-        counter.add(len(rest) if d % 2 else 2 * len(rest))
-    near = sum(map(mul, sizes[h + 1 :], rest))
+        counter.add(len(low) if d % 2 else 2 * len(low))
+    far = sizes[h + 1 :]
+    near = n * sum(far) - sum(map(mul, far, low))
     if d % 2:  # k = d + 1 even
         return 2 * near
-    return near + sum(map(mul, sizes[h + 2 :], rest))
+    far = sizes[h + 2 :]
+    return near + n * sum(far) - sum(map(mul, far, low))
 
 
 def delta_direct(anatomy: CycleAnatomy) -> int:

@@ -3,26 +3,64 @@
 With the tree rooted at y, the subtree sizes c_0, ..., c_{k-1} of the
 path x = p_0, ..., p_{k-1} = y are the prefix sums of its hanging weights
 (c_{k-1} = n).  Rooting at p_b instead leaves the subtree of every p_i
-with i < b unchanged, so the pair (p_a, p_b) has root-path sizes
-[n, c_{b-1}, ..., c_a] and is scored by delta_from_sizes in O(b - a).
-The whole batch costs O(k^2), and reads the sizes from the tree's kept
-root-0 pass.
+with i < b unchanged, so the pair (p_lo, p_hi) has root-path sizes
+[n, c_{hi-1}, ..., c_lo].  With e_a = n - c_a, d = hi - lo and
+h = ceil(d / 2), delta.delta_from_sizes reads them as the ramp sums
+
+    R(m) = sum_{a=lo+m}^{hi-1} c_{a-m} e_a,
+
+with Δ = 2 R(h) for odd d and R(h) + R(h + 1) for even d.
+
+The sweep scores three families (lo_0 + i, hi_0 - i), i = 0, 1, ...: the
+diagonals (0, k-1), the x-shifts (1, k-1) and the y-shifts (0, k-2).
+Along a family d = d_0 - 2i keeps its parity, h = h_0 - i with
+h_0 = ceil(d_0 / 2), and the lag is m = h_0 - i + δ, with δ = 0 and, for
+even d, δ = 1.  The lower end A = lo + m = lo_0 + h_0 + δ is the same
+for every record, so with t = a - A
+
+    R_i = sum_{t=0}^{L-1-i} c_{lo_0+i+t} e_{A+t},    L = hi_0 - A,
+
+the lag-i correlation of the fixed sequences c[lo_0 : lo_0 + L] and
+e[A : hi_0].  A whole sweep is 4 or 5 such correlations.  _correlate
+takes each as one exact product of two Python ints (Kronecker
+substitution), so no per-record sum is left.  The counter is still
+charged the terms of the sums each record is made of, as
+delta_from_sizes charges them; sizes come from the tree's kept root-0
+pass.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from operator import add
+from typing import Optional, Sequence
 
 from .counting import OpCounter
-from .delta import DeltaRecord, ad_prime, delta_from_sizes
+from .delta import DeltaRecord, ad_prime
 from .tree import Tree, _path_sizes
+
+
+def _correlate(c: Sequence[int], e: Sequence[int], count: int) -> list[int]:
+    """[sum_t c[i + t] * e[t] for i in range(count)] for non-negative ints,
+    len(c) == len(e), exactly.  Both sequences are packed as base-2^(8b)
+    digits, b bytes wide enough for any coefficient, c reversed (big-endian)
+    and e in order (little-endian); with L = len(e), coefficient L-1-i of
+    their product is the lag-i sum."""
+    L = len(e)
+    b = (L * max(c, default=0) * max(e, default=0)).bit_length() // 8 + 1
+    rev_c = int.from_bytes(b"".join(v.to_bytes(b, "big") for v in c), "big")
+    fwd_e = int.from_bytes(b"".join(v.to_bytes(b, "little") for v in e), "little")
+    digits = (rev_c * fwd_e).to_bytes(2 * L * b, "little")
+    return [
+        int.from_bytes(digits[(L - 1 - i) * b : (L - i) * b], "little") if i < L else 0
+        for i in range(count)
+    ]
 
 
 def sweep_path(
     tree: Tree, x: int, y: int, counter: Optional[OpCounter] = None
 ) -> list[DeltaRecord]:
     """Score the diagonal family (x_i, y_i) and both near-diagonal families
-    (x_{i+1}, y_i), (x_i, y_{i+1}) along the x..y path, in O(k^2) total.
+    (x_{i+1}, y_i), (x_i, y_{i+1}) along the x..y path.
 
     Records are emitted in family order: diagonals inward, then x-advanced
     shifts, then y-advanced shifts; pairs whose own cycle length would drop
@@ -31,16 +69,29 @@ def sweep_path(
     # size[i] = c_i, the subtree size of path[i] with the tree rooted at y
     path, size = _path_sizes(tree, x, y)
     n, k = tree.n, len(path)
-
-    def record(lo: int, hi: int) -> DeltaRecord:
-        d = hi - lo
-        delta = delta_from_sizes([n, *reversed(size[lo:hi])], counter)
-        return DeltaRecord(
-            x=path[lo], y=path[hi], k=d + 1, d_prime=delta, ad_prime=ad_prime(delta, n)
-        )
-
-    return (
-        [record(i, k - 1 - i) for i in range((k - 1) // 2)]
-        + [record(i + 1, k - 1 - i) for i in range((k - 2) // 2)]
-        + [record(i, k - 2 - i) for i in range((k - 2) // 2)]
-    )
+    rest = [n - c for c in size]  # e_i
+    records = []
+    for lo0, hi0 in ((0, k - 1), (1, k - 1), (0, k - 2)):
+        d0 = hi0 - lo0
+        count = d0 // 2  # the records with d >= 2
+        a = lo0 + (d0 + 1) // 2  # A for δ = 0
+        near = _correlate(size[lo0 : lo0 + hi0 - a], rest[a:hi0], count)
+        if d0 % 2:
+            deltas = [2 * r for r in near]
+        else:
+            far = _correlate(size[lo0 : lo0 + hi0 - a - 1], rest[a + 1 : hi0], count)
+            deltas = list(map(add, near, far))
+        if counter is not None:
+            # record i sums d // 2 = count - i terms per ramp
+            counter.add(count * (count + 1) // 2 * (1 if d0 % 2 else 2))
+        records += [
+            DeltaRecord(
+                x=path[lo0 + i],
+                y=path[hi0 - i],
+                k=d0 - 2 * i + 1,
+                d_prime=delta,
+                ad_prime=ad_prime(delta, n),
+            )
+            for i, delta in enumerate(deltas)
+        ]
+    return records

@@ -7,7 +7,7 @@ stored 0-based in tuples: x_side[0] is the x anchor itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional
 
@@ -23,11 +23,14 @@ from .errors import (
 
 @dataclass(frozen=True)
 class Tree:
-    """Immutable tree: n vertices 0..n-1, n-1 edges, connected."""
+    """Immutable tree: n vertices 0..n-1, n-1 edges, connected.
+
+    Equal and hashed by (n, sorted edges): adjacency follows the order the
+    edges were given in, so it takes no part in either."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
-    adjacency: tuple[tuple[int, ...], ...]
+    adjacency: tuple[tuple[int, ...], ...] = field(compare=False)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Tree":

@@ -7,7 +7,9 @@ from insetedge import (
     SimpleGraph,
     Tree,
     delta_oracle,
+    parse_tree,
     random_labeled_tree,
+    serialize_tree,
     tree_plus_edge,
     wiener_brute,
     wiener_tree_linear,
@@ -136,3 +138,14 @@ class TestTreeSumOncePerTree:
                 after = wiener_brute(tree_plus_edge(t, u, v))
                 assert delta_oracle(t, u, v) == before - after
             assert len(brute_calls) == len(pairs) + misses
+
+    def test_reloaded_copy_hits(self, brute_calls):
+        # the reloaded copy lists its adjacency in another order, and is
+        # the same tree to the cache
+        t = random_labeled_tree(12, 1)
+        back = parse_tree(serialize_tree(t))
+        assert back.adjacency != t.adjacency
+        delta_oracle(t, *non_adjacent_pairs(t)[0])
+        hits = insetedge.oracle._tree_wiener.cache_info().hits
+        delta_oracle(back, *non_adjacent_pairs(back)[0])
+        assert insetedge.oracle._tree_wiener.cache_info().hits == hits + 1

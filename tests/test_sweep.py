@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -11,7 +13,10 @@ from insetedge import (
     random_labeled_tree,
     sweep_path,
 )
+from insetedge.delta import DeltaRecord, ad_prime, delta_from_sizes
 from insetedge.errors import AdjacentPair, IdOutOfRange, SameVertex
+from insetedge.sweep import _correlate
+from insetedge.tree import _path_sizes
 
 from conftest import path_tree
 
@@ -131,8 +136,9 @@ class TestSweepPath:
                         assert r.d_prime == delta_direct(anatomize(t, r.x, r.y))
 
     def test_op_count_p128(self):
-        # the size route charges d // 2 products per sum: one sum for even
-        # k, two for odd k
+        # each record is charged the d // 2 terms of each ramp sum it is
+        # made of: one sum for even k, two for odd k.  This is a model
+        # count; the sweep computes a family's sums as one product
         c = OpCounter()
         sweep_path(path_tree(128), 0, 127, c)
         assert c.ops == 10080
@@ -145,3 +151,78 @@ class TestSweepPath:
             ratios.append(c.ops / (n * n))
         # constant c stable across doublings
         assert max(ratios) / min(ratios) < 1.1
+
+
+def naive_correlate(c, e, count):
+    return [sum(c[i + t] * e[t] for t in range(len(e) - i)) for i in range(count)]
+
+
+class TestCorrelate:
+    @pytest.mark.parametrize("bits", [0, 8, 32, 64, 200])
+    def test_matches_double_loop(self, bits):
+        top = 2**bits
+        rng = random.Random(bits)
+        for length in (1, 2, 3, 7, 40):
+            c = [rng.randrange(top + 1) for _ in range(length)]
+            e = [rng.randrange(top + 1) for _ in range(length)]
+            # count past the length reads lags with no terms
+            for count in (0, 1, length, length + 2):
+                assert _correlate(c, e, count) == naive_correlate(c, e, count)
+
+    def test_extremes(self):
+        big = 2**64 + 1
+        assert _correlate([big], [big], 1) == [big * big]
+        assert _correlate([big] * 5, [big] * 5, 6) == [big * big * m for m in (5, 4, 3, 2, 1, 0)]
+        assert _correlate([0, 0, 3], [5, 0, 0], 3) == [0, 0, 15]
+        assert _correlate([], [], 2) == [0, 0]
+
+
+def reference_sweep(tree, x, y, counter=None):
+    """The per-record route: one delta_from_sizes sum per record."""
+    path, size = _path_sizes(tree, x, y)
+    n, k = tree.n, len(path)
+
+    def record(lo, hi):
+        delta = delta_from_sizes([n, *reversed(size[lo:hi])], counter)
+        return DeltaRecord(
+            x=path[lo], y=path[hi], k=hi - lo + 1, d_prime=delta, ad_prime=ad_prime(delta, n)
+        )
+
+    return (
+        [record(i, k - 1 - i) for i in range((k - 1) // 2)]
+        + [record(i + 1, k - 1 - i) for i in range((k - 2) // 2)]
+        + [record(i, k - 2 - i) for i in range((k - 2) // 2)]
+    )
+
+
+class TestPerRecordReference:
+    def assert_same(self, t, x, y):
+        ops, ref_ops = OpCounter(), OpCounter()
+        assert sweep_path(t, x, y, ops) == reference_sweep(t, x, y, ref_ops)
+        assert ops.ops == ref_ops.ops
+
+    @given(n=st.integers(3, 80), seed=st.integers(0, 2**32), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_random_trees(self, n, seed, data):
+        t = random_labeled_tree(n, seed)
+        x = data.draw(st.integers(0, n - 1))
+        dist = bfs_distances(t, x)
+        far = [v for v in range(n) if dist[v] >= 2]
+        assume(far)
+        self.assert_same(t, x, data.draw(st.sampled_from(far)))
+
+    @pytest.mark.parametrize("k", range(3, 10))
+    def test_every_family_length(self, k):
+        # k = 3 has one diagonal and empty shift families; each k adds one
+        # record to the diagonals or to both shift families
+        t = path_tree(k + 2)
+        recs = sweep_path(t, 1, k)
+        assert len(recs) == (k - 1) // 2 + 2 * ((k - 2) // 2)
+        self.assert_same(t, 1, k)
+        self.assert_same(t, k, 1)
+
+    def test_large_sizes(self):
+        # a 600-vertex stretch of a 2000-vertex path: sizes in the
+        # hundreds and thousands, so each packed digit is several bytes
+        t = path_tree(2000)
+        self.assert_same(t, 700, 1300)
