@@ -4,15 +4,24 @@ F_k is the k' x k' matrix of per-pair saving coefficients (k' = k // 2).
 It is D_k (entries 2*(k'-i-j+1) on i+j <= k', zero elsewhere) plus, for odd
 k, the anti-triangular all-ones matrix O_k (ones on i+j <= k'+1).  The
 savings equal the norm one (sum of entries) of the entrywise product of F_k
-with the outer product of the two weight vectors.  The evaluation streams
-over the nonzero anti-triangle of F_k and never materializes the matrix.
+with the outer product of the two weight vectors.
+
+Both D_k and O_k depend on i + j alone, so F_k is a Hankel matrix: with f_s
+its entry on the anti-diagonal i + j = s and A_s = sum_{i+j=s} w_x,i w_y,j
+the matching anti-diagonal sum of the outer product, the norm is
+sum_s f_s A_s.  The A_s are the coefficients of the product of the two
+weight polynomials, so counting._correlate takes all k' of them from one
+exact product of two Python ints; the matrix is never built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import mul
 from typing import Callable
 
+from .counting import _correlate
 from .errors import KTooSmall
 from .tree import CycleAnatomy
 
@@ -58,20 +67,27 @@ def build_F(k: int) -> CoefficientMatrix:
     return _build(k, lambda kp, i, j: _d_entry(kp, i, j) + (odd and _o_entry(kp, i, j)))
 
 
-def delta_via_matrix(anatomy: CycleAnatomy) -> int:
-    """Norm one of F_k entrywise-multiplied with the weight outer product.
+# bounded: a caller that scores every pair of a long path meets every k
+@lru_cache(maxsize=256)
+def _anti_diagonal_entries(k: int) -> tuple[int, ...]:
+    """f_s, F_k's entry on each anti-diagonal i + j = s (1-based) that can
+    be nonzero, s = k'+1 first down to 2; the cell in row 1, column s - 1
+    stands for the whole anti-diagonal."""
+    kp = k // 2
+    odd = k % 2
+    return tuple(
+        _d_entry(kp, 1, s - 1) + (odd and _o_entry(kp, 1, s - 1))
+        for s in range(kp + 1, 1, -1)
+    )
 
-    Only the nonzero anti-triangle of F_k is visited: j <= k'+1-i for odd k,
-    j <= k'-i for even k.  Entries come from the D_k / O_k definitions.
+
+def delta_via_matrix(anatomy: CycleAnatomy) -> int:
+    """Norm one of F_k entrywise-multiplied with the weight outer product,
+    as sum_s f_s A_s over F_k's anti-diagonals.
+
+    Both weight vectors have k' entries.  With w_x reversed, lag i of its
+    correlation with w_y is the anti-diagonal sum A_s for s = k'+1-i, so
+    the k' sums come out in the order of _anti_diagonal_entries.
     """
-    kp = anatomy.k_prime
-    odd = anatomy.k % 2
-    wx = anatomy.weights_x
-    wy = anatomy.weights_y
-    total = 0
-    for i in range(1, kp + 1):
-        wxi = wx[i - 1]
-        for j in range(1, kp + odd - i + 1):
-            f = _d_entry(kp, i, j) + (odd and _o_entry(kp, i, j))
-            total += f * wxi * wy[j - 1]
-    return total
+    sums = _correlate(anatomy.weights_x[::-1], anatomy.weights_y, anatomy.k_prime)
+    return sum(map(mul, _anti_diagonal_entries(anatomy.k), sums))

@@ -21,10 +21,10 @@ for every record, so with t = a - A
     R_i = sum_{t=0}^{L-1-i} c_{lo_0+i+t} e_{A+t},    L = hi_0 - A,
 
 the lag-i correlation of the fixed sequences c[lo_0 : lo_0 + L] and
-e[A : hi_0].  A whole sweep is 4 or 5 such correlations.  _correlate
-takes each as one exact product of two Python ints (Kronecker
-substitution), so no per-record sum is left.  The counter is still
-charged the terms of the sums each record is made of, as
+e[A : hi_0].  A whole sweep is 4 or 5 such correlations.
+counting._correlate takes each as one exact product of two Python ints
+(Kronecker substitution), so no per-record sum is left.  The counter is
+still charged the terms of the sums each record is made of, as
 delta_from_sizes charges them; sizes come from the tree's kept root-0
 pass.
 """
@@ -32,28 +32,11 @@ pass.
 from __future__ import annotations
 
 from operator import add
-from typing import Optional, Sequence
+from typing import Optional
 
-from .counting import OpCounter
+from .counting import OpCounter, _correlate
 from .delta import DeltaRecord, ad_prime
 from .tree import Tree, _path_sizes
-
-
-def _correlate(c: Sequence[int], e: Sequence[int], count: int) -> list[int]:
-    """[sum_t c[i + t] * e[t] for i in range(count)] for non-negative ints,
-    len(c) == len(e), exactly.  Both sequences are packed as base-2^(8b)
-    digits, b bytes wide enough for any coefficient, c reversed (big-endian)
-    and e in order (little-endian); with L = len(e), coefficient L-1-i of
-    their product is the lag-i sum."""
-    L = len(e)
-    b = (L * max(c, default=0) * max(e, default=0)).bit_length() // 8 + 1
-    rev_c = int.from_bytes(b"".join(v.to_bytes(b, "big") for v in c), "big")
-    fwd_e = int.from_bytes(b"".join(v.to_bytes(b, "little") for v in e), "little")
-    digits = (rev_c * fwd_e).to_bytes(2 * L * b, "little")
-    return [
-        int.from_bytes(digits[(L - 1 - i) * b : (L - i) * b], "little") if i < L else 0
-        for i in range(count)
-    ]
 
 
 def sweep_path(

@@ -2,9 +2,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from insetedge import anatomize, build_F, delta_direct, delta_via_matrix, random_labeled_tree
+from insetedge import (
+    Tree,
+    anatomize,
+    build_F,
+    delta_direct,
+    delta_via_matrix,
+    random_labeled_tree,
+)
 from insetedge.errors import KTooSmall
-from insetedge.matrixform import build_D, build_O
+from insetedge.matrixform import _anti_diagonal_entries, _d_entry, _o_entry, build_D, build_O
+
+from conftest import path_tree
 
 
 def saving_coefficient(k: int, i: int, j: int) -> int:
@@ -13,6 +22,23 @@ def saving_coefficient(k: int, i: int, j: int) -> int:
     kp = k // 2
     bound = kp + 1 if k % 2 else kp
     return k + 2 - 2 * (i + j) if i + j <= bound else 0
+
+
+def reference_via_matrix(anatomy):
+    """Norm one of F_k entrywise-multiplied with the weight outer product,
+    cell by cell over the nonzero anti-triangle of F_k, one D_k / O_k entry
+    per cell."""
+    kp = anatomy.k_prime
+    odd = anatomy.k % 2
+    wx = anatomy.weights_x
+    wy = anatomy.weights_y
+    total = 0
+    for i in range(1, kp + 1):
+        wxi = wx[i - 1]
+        for j in range(1, kp + odd - i + 1):
+            f = _d_entry(kp, i, j) + (odd and _o_entry(kp, i, j))
+            total += f * wxi * wy[j - 1]
+    return total
 
 
 class TestFixtures:
@@ -48,6 +74,21 @@ class TestFixtures:
                     assert f[i][j] == expected
 
 
+class TestHankel:
+    def test_entries_depend_on_anti_diagonal_only(self):
+        # the matrix route reads one entry per anti-diagonal s = i + j
+        for k in range(3, 65):
+            f = build_F(k)
+            kp = f.k_prime
+            diagonal = _anti_diagonal_entries(k)
+            assert len(diagonal) == kp
+            for i in range(1, kp + 1):
+                for j in range(1, kp + 1):
+                    s = i + j
+                    expected = diagonal[kp + 1 - s] if s <= kp + 1 else 0
+                    assert f.entries[i - 1][j - 1] == expected, (k, i, j)
+
+
 class TestAgainstCoefficients:
     def test_all_k_up_to_64(self):
         for k in range(3, 65):
@@ -78,3 +119,34 @@ class TestDeltaViaMatrix:
                 checked += 1
                 if checked >= 10:
                     return
+
+
+class TestAgainstReference:
+    """delta_via_matrix equals the cell-by-cell double loop."""
+
+    @given(n=st.integers(4, 60), seed=st.integers(0, 2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_every_pair(self, n, seed):
+        t = random_labeled_tree(n, seed)
+        for u in range(n):
+            for v in range(u + 1, n):
+                if v not in t.adjacency[u]:
+                    a = anatomize(t, u, v)
+                    assert delta_via_matrix(a) == reference_via_matrix(a), (u, v)
+
+    def test_path_ends(self):
+        # k = 3 and 4 have one anti-diagonal; both parities up to k = 200
+        for k in range(3, 201):
+            a = anatomize(path_tree(k), 0, k - 1)
+            assert delta_via_matrix(a) == reference_via_matrix(a), k
+
+    def test_long_spine_heavy_ends(self):
+        # a 3001-vertex spine with 547 and 548 leaves on its ends: n = 4096,
+        # k = 3001 and end weights far above the unit weights between them
+        k, n = 3001, 4096
+        edges = [(i, i + 1) for i in range(k - 1)]
+        edges += [(0, v) for v in range(k, k + 547)]
+        edges += [(k - 1, v) for v in range(k + 547, n)]
+        a = anatomize(Tree.from_edges(n, edges), 0, k - 1)
+        assert (a.k, a.weights_x[0], a.weights_y[0]) == (k, 548, 549)
+        assert delta_via_matrix(a) == reference_via_matrix(a) == delta_direct(a)

@@ -13,9 +13,9 @@ from insetedge import (
     random_labeled_tree,
     sweep_path,
 )
+from insetedge.counting import _correlate
 from insetedge.delta import DeltaRecord, ad_prime, delta_from_sizes
 from insetedge.errors import AdjacentPair, IdOutOfRange, SameVertex
-from insetedge.sweep import _correlate
 from insetedge.tree import _path_sizes
 
 from conftest import path_tree
@@ -175,6 +175,19 @@ class TestCorrelate:
         assert _correlate([big] * 5, [big] * 5, 6) == [big * big * m for m in (5, 4, 3, 2, 1, 0)]
         assert _correlate([0, 0, 3], [5, 0, 0], 3) == [0, 0, 15]
         assert _correlate([], [], 2) == [0, 0]
+
+    def test_anti_diagonal_sums(self):
+        # count == len(c), c reversed: the shape of the matrix route, whose
+        # lag i is the anti-diagonal sum sum_{i'+j = L-1-i} c[i'] * e[j]
+        rng = random.Random(7)
+        for length in (1, 2, 5, 33):
+            c = [rng.randrange(1, 2**20) for _ in range(length)]
+            e = [rng.randrange(1, 2**20) for _ in range(length)]
+            expected = [
+                sum(c[s - j] * e[j] for j in range(s + 1))
+                for s in range(length - 1, -1, -1)
+            ]
+            assert _correlate(c[::-1], e, length) == expected
 
 
 def reference_sweep(tree, x, y, counter=None):
