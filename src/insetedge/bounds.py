@@ -6,6 +6,21 @@ extremal weight configuration exactly through the savings formula, checks
 the built extremal tree against the brute-force oracle, optionally sweeps
 every labeled tree at small n, and reports every mismatch instead of
 suppressing it.
+
+The family values are the exact maxima over all trees (the convexity
+lemma).  A shortcut edge closing a cycle of length k saves
+sum c(|pos a - pos b|) over vertex pairs, where pos is the cycle position
+of the group a vertex hangs from and c(g) = max(0, 2g - k).  With every
+other vertex fixed, one off-cycle vertex's share as a function of its
+position p in 0..k-1 is sum_b c(|p - pos b|), a sum of convex functions,
+so moving it to one of the two cycle ends loses nothing.  Repeating this
+turns any tree into the family configuration (w_x, 1, ..., 1, w_y) with
+the same k and savings at least as large, and the balanced split argument
+of family_optimum finishes: the maximum over all trees on n vertices at
+cycle length k is the balanced row of _family_table(n), and the maximum
+over all trees is family_optimum(n).  Every term is >= 0 and the end pair
+alone gives w_x w_y (k - 2), so the savings are >= 1; for k = 3 they are
+w_x w_y exactly, so they equal 1 only at two leaves at distance 2.
 """
 
 from __future__ import annotations
@@ -300,8 +315,12 @@ class BoundsReport:
 def audit(n: int, exhaustive_limit: int = 0) -> BoundsReport:
     """Evaluate every claimed bound against the exact family values, confirm
     the family optimum on a built tree with the brute-force oracle, and (for
-    n <= exhaustive_limit) against the true maximum over all labeled trees.
-    Every failed check is one discrepancy record, in the order checked."""
+    n <= exhaustive_limit) against a distance-matrix scan of every labeled
+    tree, a check independent of the savings formula.  family_max is
+    already the exact maximum (the convexity lemma in the module
+    docstring), so each discrepancy on a claimed bound is an error in the
+    claim.  Every failed check is one discrepancy record, in the order
+    checked."""
     if n < 5:
         raise OutOfDomain(f"n={n} < 5")
     discrepancies: list[dict] = []

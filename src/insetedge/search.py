@@ -6,8 +6,14 @@ leaf pair there is a non-leaf candidate at least as good, so the pruned
 search keeps the maximum (for n > 6, non-star trees).
 
 Every pair is scored by delta.delta_from_sizes from the subtree sizes
-along its root path, read from one rooted pass per root vertex, without a
-cycle anatomy.
+along its path, without a cycle anatomy, and is reached once: from the
+endpoint that comes later in the preorder of the tree's kept root-0 pass.
+The vertices before r in that preorder are r's ancestors and, below each
+ancestor, the whole subtrees of its children that precede the child
+toward r, one contiguous run of the preorder per ancestor.  Rooted at r,
+only an ancestor's subtree changes: it is everything outside the root-0
+subtree of its child toward r.  So each root costs one walk over the
+vertices it pairs with, and no rooted pass of its own.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from typing import Iterator
 from .delta import ad_prime, delta_direct, delta_from_sizes
 from .errors import NoCandidates, RouteMismatch
 from .oracle import delta_oracle
-from .tree import Tree, _sizes, anatomize
+from .tree import Tree, anatomize
 
 PRUNE_EXCEPTION_DISTANCES = frozenset({2, 3, 4, 6})
 
@@ -42,34 +48,66 @@ def _non_adjacent_count(tree: Tree) -> int:
 
 
 def _candidates(tree: Tree, pruned: bool) -> Iterator[tuple[int, int, int, list[int]]]:
-    """Candidate pairs (u, v), u < v, at distance d >= 2, grouped by v, with
-    sizes = [s_0, ..., s_d], the subtree sizes along the path from v to u
-    in the tree rooted at v.  With pruned, leaf pairs are dropped by the
-    pruning rule.  sizes is reused: read it before asking for the next
-    pair."""
+    """Candidate pairs (u, v), u < v, at distance d >= 2, each once, with
+    sizes = [s_0, ..., s_d], the subtree sizes along the path between them
+    in the tree rooted at the endpoint later in the root-0 preorder (s_0 =
+    n).  With pruned, leaf pairs are dropped by the pruning rule, and the
+    walk from a leaf stops at the largest distance the rule keeps.  sizes
+    is reused: read it before asking for the next pair."""
     n = tree.n
-    leaf = [len(a) == 1 for a in tree.adjacency]
-    for v in range(1, n):
-        parent, size, order = _sizes(tree, v)
-        depth = [0] * n
-        sizes = [n]
-        # in preorder each subtree is contiguous, so the root path of u is
-        # the root path of its parent plus u
-        for u in order[1:]:
-            d = depth[u] = depth[parent[u]] + 1
-            del sizes[d:]
-            sizes.append(size[u])
-            if u > v or d < 2:
-                continue
-            if pruned and (leaf[u] or leaf[v]) and d not in PRUNE_EXCEPTION_DISTANCES:
-                continue
-            yield u, v, d, sizes
+    parent0, size0, order = tree._root0
+    # relabel by preorder rank: a parent comes before its children, and
+    # each subtree is the run of ranks from its root to its root + size - 1
+    rank = [0] * n
+    for i, v in enumerate(order):
+        rank[v] = i
+    parent = [rank[parent0[v]] for v in order]
+    size = [size0[v] for v in order]
+    leaf = [len(tree.adjacency[v]) == 1 for v in order]
+    depth = [0] * n
+    for i in range(1, n):
+        depth[i] = depth[parent[i]] + 1
+    # from a leaf, no pair farther than this is kept
+    deepest = max(PRUNE_EXCEPTION_DISTANCES)
+    for r in range(2, n):
+        v = order[r]
+        from_leaf = pruned and leaf[r]
+        limit = deepest if from_leaf else n
+        # rooted at r, an ancestor's subtree is everything outside the
+        # root-0 subtree of its child toward r; every other size stays
+        rerooted = size[:r]
+        c = r
+        while c:
+            a = parent[c]
+            rerooted[a] = n - size[c]
+            c = a
+        # ranks a .. c - 1 are ancestor a, then the subtrees of a's children
+        # before c, in preorder; the first run starts past r's parent,
+        # which is adjacent to r
+        a = parent[r]
+        sizes = [n, rerooted[a]]
+        c, u = r, a + 1
+        while True:
+            # d(r, u) = depth[r] + depth[u] - 2 depth[a] along a's run
+            off = depth[r] - 2 * depth[a]
+            while u < c:
+                d = off + depth[u]
+                del sizes[d:]
+                sizes.append(rerooted[u])
+                if not (pruned and (from_leaf or leaf[u]) and d not in PRUNE_EXCEPTION_DISTANCES):
+                    x = order[u]
+                    yield (x, v, d, sizes) if x < v else (v, x, d, sizes)
+                # at the limit, skip the vertices below u
+                u += 1 if d < limit else size[u]
+            if not a or depth[r] - depth[a] >= limit:
+                break
+            c = a
+            u = a = parent[a]
 
 
 def candidate_pairs(tree: Tree, strategy: str = "exhaustive") -> list[tuple[int, int]]:
     """Candidate shortcut edges (u, v), u < v: all non-adjacent pairs, or
-    the leaf-pruned subset.  Pairs come grouped by v, each group read from
-    one rooted pass."""
+    the leaf-pruned subset, each once."""
     return [(u, v) for u, v, _, _ in _candidates(tree, strategy == "pruned")]
 
 

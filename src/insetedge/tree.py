@@ -60,11 +60,16 @@ class Tree:
         return tree
 
     @cached_property
-    def _root0(self) -> tuple[list[int], list[int]]:
+    def _root0(self) -> tuple[list[int], list[int], list[int]]:
         """The pass rooted at vertex 0, made once per tree and kept: parent
-        pointers (-1 for vertices not reached) and subtree sizes."""
-        parent, size, _ = _sizes(self, 0)
-        return parent, size
+        pointers (parent[0] == 0, -1 for vertices not reached), subtree
+        sizes (size[v] counts v and every vertex below it) and the
+        preorder."""
+        parent, order = _rooted(self, 0)
+        size = [1] * self.n
+        for v in reversed(order[1:]):
+            size[parent[v]] += size[v]
+        return parent, size, order
 
     def check_ids(self, *ids: int) -> None:
         """Raise IdOutOfRange unless every id is a vertex 0..n-1."""
@@ -170,16 +175,6 @@ def _walk_up(parent: list[int], v: int) -> list[int]:
     return path
 
 
-def _sizes(tree: Tree, root: int) -> tuple[list[int], list[int], list[int]]:
-    """Parent pointers and preorder from _rooted, and subtree sizes:
-    size[v] counts v and every vertex below it."""
-    parent, order = _rooted(tree, root)
-    size = [1] * tree.n
-    for v in reversed(order[1:]):
-        size[parent[v]] += size[v]
-    return parent, size, order
-
-
 def wiener_tree_linear(tree: Tree) -> int:
     """O(n) Wiener sum for a tree: the edge above each non-root v splits the
     tree into parts of sizes size(v) and n - size(v), and contributes
@@ -219,7 +214,7 @@ def _path_sizes(tree: Tree, x: int, y: int) -> tuple[list[int], list[int]]:
     a vertex's subtree is everything outside the root-0 subtree of its
     successor on the path.  Raises AdjacentPair unless d_T(x, y) >= 2."""
     _check_pair(tree, x, y)
-    parent, size = tree._root0
+    parent, size, _ = tree._root0
     up, down = [x], [y]
     a, b = x, y
     # a proper ancestor has the larger subtree, so the smaller side never

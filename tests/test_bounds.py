@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from insetedge import (
@@ -11,7 +13,8 @@ from insetedge import (
     family_delta,
     family_optimum,
 )
-from insetedge.bounds import critical_points, exhaustive_scan
+from insetedge.bounds import _family_table, critical_points, exhaustive_scan
+from insetedge.delta import delta_from_weights
 from insetedge.errors import OutOfDomain
 
 
@@ -78,6 +81,26 @@ class TestFamilyOptimum:
                 if best is None or value > best[3]:
                     best = (k, min(w_x, m - w_x), max(w_x, m - w_x), value)
         assert family_optimum(n) == best
+
+
+def compositions(n, k):
+    """The compositions of n into k positive parts, one of each pair of
+    reverses: read from the other end of the cycle, the savings are the same."""
+    for cuts in combinations(range(1, n), k - 1):
+        w = [b - a for a, b in zip((0, *cuts), (*cuts, n))]
+        if w <= w[::-1]:
+            yield w
+
+
+class TestConvexityLemma:
+    @pytest.mark.parametrize("n", range(5, 15))
+    def test_family_row_is_the_maximum_over_all_weights(self, n):
+        # any tree's savings at cycle length k depend only on the k hanging
+        # weights around the cycle, so this is the maximum over all trees
+        for k, _, _, value in _family_table(n):
+            kp = k // 2
+            best = max(delta_from_weights(k, w[:kp], w[::-1][:kp]) for w in compositions(n, k))
+            assert best == value, k
 
 
 class TestBuildFamilyTree:

@@ -96,32 +96,6 @@ def reference_search(t, strategy):
     return best_pairs, best, len(scores), total - len(scores), set(scores)
 
 
-@pytest.mark.parametrize("strategy", ["exhaustive", "pruned"])
-class TestOnePassPerRoot:
-    def test_one_pass_per_root_and_one_rescore(self, monkeypatch, strategy):
-        # at most one pass per root for the candidates, one for the re-score
-        t = random_labeled_tree(24, 5)
-        roots = []
-        rooted = insetedge.tree._rooted
-
-        def counting(tree, root):
-            roots.append(root)
-            return rooted(tree, root)
-
-        monkeypatch.setattr(insetedge.tree, "_rooted", counting)
-        best_edge(t, strategy)
-        assert len(roots) <= t.n + 1
-
-    @given(n=st.integers(4, 40), seed=st.integers(0, 2**32))
-    @settings(max_examples=25, deadline=None)
-    def test_matches_per_pair_reference(self, strategy, n, seed):
-        t = random_labeled_tree(n, seed)
-        best_pairs, best, evaluated, pruned, pairs = reference_search(t, strategy)
-        r = best_edge(t, strategy)
-        assert (r.best_pairs, r.best_delta, r.evaluated, r.pruned) == (best_pairs, best, evaluated, pruned)
-        assert set(candidate_pairs(t, strategy)) == pairs
-
-
 def savings_trees():
     random_trees = st.builds(random_labeled_tree, st.integers(4, 60), st.integers(0, 2**32))
     paths = st.builds(path_tree, st.integers(4, 60))
@@ -135,6 +109,36 @@ def savings_trees():
         return build_family_tree(k + w_x + w_y - 2, k, w_x, w_y, shape)[0]
 
     return st.one_of(random_trees, paths, stars, family())
+
+
+@pytest.mark.parametrize("strategy", ["exhaustive", "pruned"])
+class TestOnePassPerRoot:
+    def test_no_rooted_pass_after_the_tree_is_built(self, monkeypatch, strategy):
+        # the walks and the re-score read the root-0 pass the tree keeps
+        t = random_labeled_tree(24, 5)
+        roots = []
+        rooted = insetedge.tree._rooted
+
+        def counting(tree, root):
+            roots.append(root)
+            return rooted(tree, root)
+
+        monkeypatch.setattr(insetedge.tree, "_rooted", counting)
+        best_edge(t, strategy)
+        assert roots == []
+
+    @given(t=savings_trees().filter(lambda t: t.n >= 4))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_pair_reference(self, strategy, t):
+        # beside random trees: long paths, where each walk climbs a long
+        # chain of ancestors, and stars and family trees, whose many leaf
+        # roots stop their pruned walks at distance 6
+        best_pairs, best, evaluated, pruned, pairs = reference_search(t, strategy)
+        r = best_edge(t, strategy)
+        assert (r.best_pairs, r.best_delta, r.evaluated, r.pruned) == (best_pairs, best, evaluated, pruned)
+        assert set(candidate_pairs(t, strategy)) == pairs
+        if strategy == "pruned":
+            assert pruning_ratio(t) == Fraction(pruned, evaluated + pruned)
 
 
 class TestSavings:
