@@ -180,7 +180,6 @@ def exhaustive_scan(n: int) -> ExhaustiveScan:
         raise OutOfDomain(f"n={n}: exhaustive scan supported for 4 <= n <= 9")
     big = 4 * n
     eye = np.eye(n, dtype=bool)
-    diag_idx = np.arange(n)
 
     best = -1
     best_edges: tuple[tuple[int, int], ...] = ()
@@ -189,22 +188,18 @@ def exhaustive_scan(n: int) -> ExhaustiveScan:
     lower_ok = True
     tree_count = 0
 
-    def flush(codes: list[tuple[int, ...]]) -> None:
-        nonlocal best, best_edges, best_pair, min_delta, lower_ok, tree_count
-        b = len(codes)
+    codes = product(range(n), repeat=n - 2)
+    while batch := list(islice(codes, _SCAN_BATCH)):
+        b = len(batch)
         tree_count += b
-        edge_arr = np.empty((b, n - 1, 2), dtype=np.int64)
-        all_edges = []
-        for t, code in enumerate(codes):
-            e = prufer_decode(n, code)
-            all_edges.append(e)
-            edge_arr[t] = e
+        all_edges = [prufer_decode(n, code) for code in batch]
+        edge_arr = np.array(all_edges, dtype=np.int64)  # (b, n - 1, 2)
         adj = np.zeros((b, n, n), dtype=np.int16)
         rows = np.arange(b)[:, None]
         adj[rows, edge_arr[:, :, 0], edge_arr[:, :, 1]] = 1
         adj[rows, edge_arr[:, :, 1], edge_arr[:, :, 0]] = 1
         dist = np.where(adj > 0, 1, big).astype(np.int16)
-        dist[:, diag_idx, diag_idx] = 0
+        dist[:, eye] = 0
         for m in range(n):
             dist = np.minimum(dist, dist[:, :, m][:, :, None] + dist[:, m, :][:, None, :])
         # route[t, x, y, u, v] = d(u, x) + 1 + d(y, v)
@@ -235,10 +230,6 @@ def exhaustive_scan(n: int) -> ExhaustiveScan:
         )
         if not np.array_equal(ones, leaf_pairs_at_2):
             lower_ok = False
-
-    codes = product(range(n), repeat=n - 2)
-    while batch := list(islice(codes, _SCAN_BATCH)):
-        flush(batch)
 
     assert min_delta is not None
     return ExhaustiveScan(

@@ -20,7 +20,7 @@ from .errors import InsetEdgeError, MalformedLine
 from .matrixform import delta_via_matrix
 from .oracle import delta_oracle
 from .randgen import Corpus, exact_leaf_mean, leaf_stats
-from .search import best_edge, pruning_ratio
+from .search import STRATEGIES, best_edge, pruning_ratio
 from .sweep import sweep_path
 from .tree import Tree, anatomize, parse_tree, path_between, serialize_tree, wiener_tree_linear
 
@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("best", help="optimal shortcut edge(s)")
     p.add_argument("file")
-    p.add_argument("--strategy", choices=("exhaustive", "pruned", "oracle"), default="exhaustive")
+    p.add_argument("--strategy", choices=STRATEGIES, default="exhaustive")
     p.set_defaults(func=_cmd_best)
 
     p = sub.add_parser("bounds", help="audit claimed extremal bounds")

@@ -42,6 +42,12 @@ def _o_entry(k_prime: int, i: int, j: int) -> int:
     return 1 if i + j - 1 <= k_prime else 0
 
 
+def _f_entry(k: int, i: int, j: int) -> int:
+    """F_k's entry in row i, column j (1-based)."""
+    kp = k // 2
+    return _d_entry(kp, i, j) + (k % 2 and _o_entry(kp, i, j))
+
+
 def _build(k: int, entry: Callable[[int, int, int], int]) -> CoefficientMatrix:
     """The k' x k' matrix of entry(k', i, j), i and j 1-based."""
     if k < 3:
@@ -63,8 +69,7 @@ def build_O(k: int) -> CoefficientMatrix:
 
 def build_F(k: int) -> CoefficientMatrix:
     """F_k = D_k + O_k for odd k, D_k for even k."""
-    odd = k % 2
-    return _build(k, lambda kp, i, j: _d_entry(kp, i, j) + (odd and _o_entry(kp, i, j)))
+    return _build(k, lambda kp, i, j: _f_entry(k, i, j))
 
 
 # bounded: a caller that scores every pair of a long path meets every k
@@ -73,12 +78,7 @@ def _anti_diagonal_entries(k: int) -> tuple[int, ...]:
     """f_s, F_k's entry on each anti-diagonal i + j = s (1-based) that can
     be nonzero, s = k'+1 first down to 2; the cell in row 1, column s - 1
     stands for the whole anti-diagonal."""
-    kp = k // 2
-    odd = k % 2
-    return tuple(
-        _d_entry(kp, 1, s - 1) + (odd and _o_entry(kp, 1, s - 1))
-        for s in range(kp + 1, 1, -1)
-    )
+    return tuple(_f_entry(k, 1, s - 1) for s in range(k // 2 + 1, 1, -1))
 
 
 def delta_via_matrix(anatomy: CycleAnatomy) -> int:

@@ -2,14 +2,14 @@
 
 Everything here is a test fixture, deliberately independent of the
 formula-based modules it validates.  All sums are exact Python integers.
-delta_oracle brute-forces the tree's own sum D(T) once per tree (a
-one-entry cache keyed by the tree's value, holding only that BFS sum) and
-the graph with the added edge on every call.
+wiener_brute runs one BFS per source (the visit list is the queue) and
+sums each distance row.  delta_oracle brute-forces the tree's own sum D(T)
+once per tree (a one-entry cache keyed by the tree's value, holding only
+that BFS sum) and the graph with the added edge on every call.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -39,26 +39,27 @@ class SimpleGraph:
 
 
 def tree_plus_edge(tree: Tree, x: int, y: int) -> SimpleGraph:
-    """The unicyclic graph obtained by adding edge (x, y) to the tree."""
+    """The unicyclic graph obtained by adding edge (x, y) to the tree; the
+    tree itself is left as it is."""
     tree.check_ids(x, y)
-    adj = [list(a) for a in tree.adjacency]
-    adj[x].append(y)
-    adj[y].append(x)
-    return SimpleGraph(tree.n, tuple(tuple(a) for a in adj))
+    adj = list(tree.adjacency)
+    adj[x] += (y,)
+    adj[y] += (x,)
+    return SimpleGraph(tree.n, tuple(adj))
 
 
 def _bfs(graph: SimpleGraph, source: int) -> list[int]:
     dist = [-1] * graph.n
     dist[source] = 0
-    queue = deque([source])
+    visit = [source]
     adj = graph.adjacency
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
+    # the loop reads the list it appends to, in visit order
+    for u in visit:
+        du = dist[u] + 1
         for w in adj[u]:
             if dist[w] < 0:
-                dist[w] = du + 1
-                queue.append(w)
+                dist[w] = du
+                visit.append(w)
     return dist
 
 
@@ -67,10 +68,9 @@ def wiener_brute(graph: SimpleGraph) -> int:
     total = 0
     for s in range(graph.n):
         dist = _bfs(graph, s)
-        for d in dist:
-            if d < 0:
-                raise Disconnected(f"vertex unreachable from {s}")
-            total += d
+        if -1 in dist:
+            raise Disconnected(f"vertex unreachable from {s}")
+        total += sum(dist)
     return total // 2
 
 

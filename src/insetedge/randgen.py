@@ -79,8 +79,6 @@ def random_labeled_tree(n: int, seed: int) -> Tree:
     """Uniform over all n^(n-2) labeled trees; deterministic per seed."""
     if n < 2:
         raise OutOfDomain(f"n={n} < 2")
-    if n == 2:
-        return Tree.from_edges(2, [(0, 1)])
     rng = SplitMix64(seed)
     code = [rng.below(n) for _ in range(n - 2)]
     return Tree.from_edges(n, prufer_decode(n, code))

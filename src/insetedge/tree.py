@@ -77,9 +77,6 @@ class Tree:
             if not 0 <= v < self.n:
                 raise IdOutOfRange(f"vertex {v} with n={self.n}")
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
 
 @dataclass(frozen=True)
 class CycleAnatomy:
@@ -166,15 +163,6 @@ def _rooted(tree: Tree, root: int) -> tuple[list[int], list[int]]:
     return parent, order
 
 
-def _walk_up(parent: list[int], v: int) -> list[int]:
-    """The path from v to the root, following parent pointers."""
-    path = [v]
-    while parent[v] != v:
-        v = parent[v]
-        path.append(v)
-    return path
-
-
 def wiener_tree_linear(tree: Tree) -> int:
     """O(n) Wiener sum for a tree: the edge above each non-root v splits the
     tree into parts of sizes size(v) and n - size(v), and contributes
@@ -203,7 +191,12 @@ def _check_pair(tree: Tree, x: int, y: int) -> None:
 def path_between(tree: Tree, x: int, y: int) -> list[int]:
     """The unique simple path from x to y, inclusive."""
     _check_pair(tree, x, y)
-    return _walk_up(_rooted(tree, y)[0], x)
+    parent = _rooted(tree, y)[0]
+    path = [x]
+    while x != y:
+        x = parent[x]
+        path.append(x)
+    return path
 
 
 def _path_sizes(tree: Tree, x: int, y: int) -> tuple[list[int], list[int]]:

@@ -19,6 +19,22 @@ from insetedge.errors import AdjacentPair, Disconnected, IdOutOfRange, SameVerte
 from conftest import path_tree, star_tree
 
 
+def floyd_warshall_sum(graph):
+    """Sum of all-pairs distances over unordered pairs, by Floyd-Warshall."""
+    n = graph.n
+    inf = float("inf")
+    d = [[0 if i == j else inf for j in range(n)] for i in range(n)]
+    for u, nbrs in enumerate(graph.adjacency):
+        for w in nbrs:
+            d[u][w] = 1
+    for m in range(n):
+        for i in range(n):
+            for j in range(n):
+                if d[i][m] + d[m][j] < d[i][j]:
+                    d[i][j] = d[i][m] + d[m][j]
+    return sum(d[i][j] for i in range(n) for j in range(i + 1, n))
+
+
 class TestWienerBrute:
     def test_p2(self):
         assert wiener_brute(SimpleGraph.from_tree(path_tree(2))) == 1
@@ -31,9 +47,17 @@ class TestWienerBrute:
         assert wiener_brute(c4) == 8
 
     def test_disconnected(self):
-        g = SimpleGraph.from_edges(4, [(0, 1), (2, 3)])
-        with pytest.raises(Disconnected):
-            wiener_brute(g)
+        # in the second graph the BFS from 0 reaches every vertex but the last
+        for n, edges in ((4, [(0, 1), (2, 3)]), (6, [(0, 1), (1, 2), (2, 3), (3, 4)])):
+            with pytest.raises(Disconnected):
+                wiener_brute(SimpleGraph.from_edges(n, edges))
+
+    @pytest.mark.parametrize("n, seed", [(5, 0), (8, 1), (10, 2), (12, 3)])
+    def test_tree_plus_edge_matches_floyd_warshall(self, n, seed):
+        t = random_labeled_tree(n, seed)
+        for u, v in non_adjacent_pairs(t):
+            g = tree_plus_edge(t, u, v)
+            assert wiener_brute(g) == floyd_warshall_sum(g)
 
 
 class TestWienerLinear:
@@ -92,6 +116,19 @@ class TestTreePlusEdge:
     def test_id_out_of_range(self, p5):
         with pytest.raises(IdOutOfRange):
             tree_plus_edge(p5, 0, -1)
+
+    def test_tree_unchanged(self):
+        # the per-tree D(T) cache keys on the tree, so adding an edge must
+        # leave the tree's own adjacency as it was
+        t = random_labeled_tree(12, 4)
+        rows = [list(a) for a in t.adjacency]
+        for u, v in non_adjacent_pairs(t):
+            g = tree_plus_edge(t, u, v)
+            expected = list(t.adjacency)
+            expected[u] += (v,)
+            expected[v] += (u,)
+            assert list(g.adjacency) == expected
+        assert [list(a) for a in t.adjacency] == rows
 
 
 def non_adjacent_pairs(tree):
