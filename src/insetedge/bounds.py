@@ -32,8 +32,6 @@ from functools import lru_cache
 from itertools import islice, product
 from typing import Optional
 
-import numpy as np
-
 from .delta import delta_direct, delta_from_weights
 from .errors import OutOfDomain
 from .oracle import delta_oracle
@@ -175,9 +173,13 @@ _SCAN_BATCH = 2048
 def exhaustive_scan(n: int) -> ExhaustiveScan:
     """Scan all n^(n-2) labeled trees (Prüfer enumeration) and all candidate
     pairs.  Savings come from the tree distance matrix: the new distance is
-    the old one or a route through the added edge, vectorized over batches."""
+    the old one or a route through the added edge, vectorized over batches.
+    This is the package's only use of numpy, and the only place that imports
+    it, so a run that never scans never loads it."""
     if not 4 <= n <= 9:
         raise OutOfDomain(f"n={n}: exhaustive scan supported for 4 <= n <= 9")
+    import numpy as np
+
     big = 4 * n
     eye = np.eye(n, dtype=bool)
 

@@ -16,13 +16,18 @@ from fractions import Fraction
 from .bounds import audit, build_family_tree
 from .counting import OpCounter
 from .delta import DeltaRecord, ad_prime, delta_direct, delta_term_count
-from .errors import InsetEdgeError, MalformedLine
+from .errors import InsetEdgeError, MalformedLine, OutOfDomain
 from .matrixform import delta_via_matrix
 from .oracle import delta_oracle
 from .randgen import Corpus, exact_leaf_mean, leaf_stats
 from .search import STRATEGIES, best_edge, pruning_ratio
 from .sweep import sweep_path
 from .tree import Tree, anatomize, parse_tree, path_between, serialize_tree, wiener_tree_linear
+
+
+# largest tree `verify` accepts: it checks every pair with the O(n^2)-per-pair
+# oracle, O(n^4) in all, about 2 s at n = 64 on a 2-core machine
+VERIFY_MAX_N = 64
 
 
 def _frac(f: Fraction) -> str:
@@ -188,6 +193,8 @@ def _cmd_random(args) -> dict:
 
 def _cmd_verify(args) -> tuple[dict, int]:
     tree = _load(args.file)
+    if tree.n > VERIFY_MAX_N:
+        raise OutOfDomain(f"n={tree.n}: verify supported for n <= {VERIFY_MAX_N}")
     checked = 0
     for u in range(tree.n):
         for v in range(u + 1, tree.n):

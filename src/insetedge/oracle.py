@@ -40,8 +40,14 @@ class SimpleGraph:
 
 def tree_plus_edge(tree: Tree, x: int, y: int) -> SimpleGraph:
     """The unicyclic graph obtained by adding edge (x, y) to the tree; the
-    tree itself is left as it is."""
+    tree itself is left as it is.  Raises SameVertex, IdOutOfRange or
+    AdjacentPair, checked in that order, where the result would not be a
+    simple graph with one cycle."""
+    if x == y:
+        raise SameVertex(f"x == y == {x}")
     tree.check_ids(x, y)
+    if y in tree.adjacency[x]:
+        raise AdjacentPair(f"({x}, {y}) is an edge of the tree")
     adj = list(tree.adjacency)
     adj[x] += (y,)
     adj[y] += (x,)
@@ -81,13 +87,8 @@ def _tree_wiener(tree: Tree) -> int:
 
 
 def delta_oracle(tree: Tree, x: int, y: int) -> int:
-    """Wiener decrease caused by adding edge (x, y): brute force before/after."""
-    if x == y:
-        raise SameVertex(f"x == y == {x}")
-    tree.check_ids(x, y)
-    if y in tree.adjacency[x]:
-        raise AdjacentPair(f"({x}, {y}) is an edge of the tree")
-    before = _tree_wiener(tree)
-    after = wiener_brute(tree_plus_edge(tree, x, y))
-    return before - after
+    """Wiener decrease caused by adding edge (x, y): brute force before/after.
+    The graph is built first, so a bad pair raises before any sum."""
+    graph = tree_plus_edge(tree, x, y)
+    return _tree_wiener(tree) - wiener_brute(graph)
 

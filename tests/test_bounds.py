@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from insetedge import (
     anatomize,
@@ -92,15 +98,56 @@ def compositions(n, k):
             yield w
 
 
+def cycle_savings(w):
+    """The savings of a cycle whose positions 0..k-1 carry hanging weights w."""
+    k, kp = len(w), len(w) // 2
+    return delta_from_weights(k, w[:kp], w[::-1][:kp])
+
+
+@st.composite
+def interior_move(draw):
+    """A composition (w_0, ..., w_{k-1}), k <= 14, and an interior position
+    whose weight is at least 2, so one off-cycle vertex hangs there."""
+    k = draw(st.integers(3, 14))
+    w = draw(st.lists(st.integers(1, 8), min_size=k, max_size=k))
+    i = draw(st.integers(1, k - 2))
+    if w[i] == 1:
+        w[i] += draw(st.integers(1, 4))
+    return w, i
+
+
 class TestConvexityLemma:
     @pytest.mark.parametrize("n", range(5, 15))
     def test_family_row_is_the_maximum_over_all_weights(self, n):
         # any tree's savings at cycle length k depend only on the k hanging
         # weights around the cycle, so this is the maximum over all trees
         for k, _, _, value in _family_table(n):
-            kp = k // 2
-            best = max(delta_from_weights(k, w[:kp], w[::-1][:kp]) for w in compositions(n, k))
+            best = max(cycle_savings(w) for w in compositions(n, k))
             assert best == value, k
+
+    @given(interior_move())
+    @settings(max_examples=300, deadline=None)
+    def test_exchange_step(self, move):
+        # re-hanging one vertex from an interior position at the better of
+        # the two cycle ends never lowers the savings
+        w, i = move
+        moved = []
+        for end in (0, len(w) - 1):
+            v = list(w)
+            v[i] -= 1
+            v[end] += 1
+            moved.append(cycle_savings(v))
+        assert max(moved) >= cycle_savings(w)
+
+    @pytest.mark.parametrize("shape", ["star", "path"])
+    @pytest.mark.parametrize("n", range(5, 13))
+    def test_k3_is_the_anchor_product(self, n, shape):
+        # at k = 3 only the two end groups are far enough apart to save
+        for w_x in range(1, n - 1):
+            w_y = n - 1 - w_x
+            t, pair = build_family_tree(n, 3, w_x, w_y, shape)
+            assert delta_oracle(t, *pair) == w_x * w_y
+            assert cycle_savings([w_x, 1, w_y]) == w_x * w_y
 
 
 class TestBuildFamilyTree:
@@ -185,3 +232,48 @@ class TestAudit:
         payload = audit(16).to_dict()
         json.dumps(payload)  # must be JSON-clean
         assert payload["family_argmax"] == {"k": 11, "w_x": 3, "w_y": 4}
+
+
+# Run in a fresh interpreter: this test session already has numpy loaded.
+NUMPY_PROBE = """
+import contextlib, io, os, sys, tempfile
+
+import insetedge
+from insetedge import anatomize, audit, best_edge, delta_via_matrix, parse_tree, sweep_path
+from insetedge.cli import main
+from insetedge.search import STRATEGIES
+
+text = "7\\n" + "".join(f"{i} {i + 1}\\n" for i in range(6))
+t = parse_tree(text)
+for strategy in STRATEGIES:
+    best_edge(t, strategy)
+sweep_path(t, 0, 6)
+delta_via_matrix(anatomize(t, 0, 6))
+audit(16)
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "p7.tree")
+    with open(path, "w") as fh:
+        fh.write(text)
+    for argv in (["best", path], ["sweep", path, "-p", "0", "6"], ["verify", path], ["bounds", "--n", "16"]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0, argv
+assert "numpy" not in sys.modules, "numpy loaded without a scan"
+
+report = audit(6, exhaustive_limit=6)
+assert "numpy" in sys.modules
+assert report.empirical_max == report.family_max
+assert report.lower_bound_ok is True
+print("ok")
+"""
+
+
+def test_numpy_is_loaded_only_by_the_scan():
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"

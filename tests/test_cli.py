@@ -9,7 +9,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from insetedge import random_labeled_tree, serialize_tree
-from insetedge.cli import main
+from insetedge.cli import VERIFY_MAX_N, main
 
 from conftest import path_tree
 
@@ -146,6 +146,15 @@ class TestVerify:
         assert code == 0
         assert out["ok"] is True
         assert out["pairs_checked"] == 15
+
+    def test_over_limit_is_domain_error(self, capsys, tmp_path):
+        # rejected when loaded, before the first of its O(n^4) oracle pairs
+        f = tmp_path / "long.tree"
+        f.write_text(serialize_tree(path_tree(VERIFY_MAX_N + 1)))
+        code, out = run(capsys, "verify", str(f))
+        assert code == 1
+        assert out["error"] == "OutOfDomain"
+        assert str(VERIFY_MAX_N) in out["message"]
 
 
 class TestBench:

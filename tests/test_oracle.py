@@ -117,6 +117,20 @@ class TestTreePlusEdge:
         with pytest.raises(IdOutOfRange):
             tree_plus_edge(p5, 0, -1)
 
+    def test_same_vertex(self, p5):
+        # a self-loop is not a simple graph; the check comes before the id
+        # check, as in delta_oracle
+        with pytest.raises(SameVertex):
+            tree_plus_edge(p5, 2, 2)
+        with pytest.raises(SameVertex):
+            tree_plus_edge(p5, 7, 7)
+
+    def test_tree_edge(self, p5):
+        # a second copy of a tree edge would make a multigraph
+        for x, y in ((0, 1), (1, 0), (3, 4)):
+            with pytest.raises(AdjacentPair):
+                tree_plus_edge(p5, x, y)
+
     def test_tree_unchanged(self):
         # the per-tree D(T) cache keys on the tree, so adding an edge must
         # leave the tree's own adjacency as it was
