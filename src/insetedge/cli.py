@@ -25,9 +25,21 @@ from .sweep import sweep_path
 from .tree import Tree, anatomize, parse_tree, path_between, serialize_tree, wiener_tree_linear
 
 
-# largest tree `verify` accepts: it checks every pair with the O(n^2)-per-pair
-# oracle, O(n^4) in all, about 2 s at n = 64 on a 2-core machine
+# Work limits, each a domain error past it, measured on a 2-core x86-64
+# machine with Python 3.11.
+# largest tree `verify` and `best --strategy oracle` accept: each scores
+# every pair with the O(n^2)-per-pair oracle, O(n^4) in all, about 2 s at
+# n = 64
 VERIFY_MAX_N = 64
+# largest `bounds --n`: the audit grows about as n^3, 0.5 s at n = 512 and
+# about 4 s at n = 1024
+BOUNDS_MAX_N = 1024
+# largest `bounds --exhaustive-limit`: the scan visits all n^(n-2) labeled
+# trees, about 11 s at n = 8 and 4.5 min at n = 9
+EXHAUSTIVE_MAX_N = 8
+# largest `bench` size: about 1 s and 46 MiB peak at 32768, 3 s and 76 MiB
+# at 65536
+BENCH_MAX_SIZE = 32768
 
 
 def _frac(f: Fraction) -> str:
@@ -118,6 +130,8 @@ def _cmd_sweep(args) -> dict:
 
 def _cmd_best(args) -> dict:
     tree = _load(args.file)
+    if args.strategy == "oracle" and tree.n > VERIFY_MAX_N:
+        raise OutOfDomain(f"n={tree.n}: best --strategy oracle supported for n <= {VERIFY_MAX_N}")
     report = best_edge(tree, args.strategy)
     return {
         "command": "best",
@@ -133,6 +147,12 @@ def _cmd_best(args) -> dict:
 
 
 def _cmd_bounds(args) -> dict:
+    if args.n > BOUNDS_MAX_N:
+        raise OutOfDomain(f"n={args.n}: bounds supported for n <= {BOUNDS_MAX_N}")
+    if args.exhaustive_limit > EXHAUSTIVE_MAX_N:
+        raise OutOfDomain(
+            f"exhaustive limit {args.exhaustive_limit}: supported up to {EXHAUSTIVE_MAX_N}"
+        )
     report = audit(args.n, args.exhaustive_limit)
     payload = report.to_dict()
     payload["command"] = "bounds"
@@ -229,6 +249,9 @@ def _cmd_verify(args) -> tuple[dict, int]:
 
 
 def _cmd_bench(args) -> dict:
+    too_long = [n for n in args.sizes if n > BENCH_MAX_SIZE]
+    if too_long:
+        raise OutOfDomain(f"sizes {too_long}: bench supported for sizes <= {BENCH_MAX_SIZE}")
     entries = []
     for n in args.sizes:
         tree = Tree.from_edges(n, [(i, i + 1) for i in range(n - 1)])

@@ -25,6 +25,15 @@ and
     odd k:   delta(u, v) = R(h) + R(h + 1),
 
 about k/2 products per pair, where the weight formula sums about k^2/8.
+With s_{D+1} = 0, R(h + 1) is R(h) with each s_{j+h} moved on to
+s_{j+h+1}, so the odd case is one sum too:
+
+    R(h) + R(h + 1) = sum_{j=1}^{D-h} (s_{j+h} + s_{j+h+1}) (n - s_j).
+
+delta_from_sizes reads the factors from depth stacks that a walk down
+the root path writes in place: sizes[j] = s_j, rest[j - 1] = n - s_j and
+both[j] = s_j + s_{j+1}, whose last entry both[D] = s_D.  Each pair is
+then one slice (sizes for even k, both for odd k) zipped with rest.
 """
 
 from __future__ import annotations
@@ -78,23 +87,25 @@ def delta_term_count(k: int) -> int:
     return k_prime * (k_prime + 1) // 2 if k % 2 else k_prime * (k_prime - 1) // 2
 
 
-def delta_from_sizes(sizes: Sequence[int], counter: Optional[OpCounter] = None) -> int:
-    """Savings of a pair at distance d = len(sizes) - 1 >= 2 from its
-    root-path sizes [s_0 = n, s_1, ..., s_d] (see the module docstring).
-    Each ramp sum is n * sum(s_{j+m}) - sum(s_{j+m} s_j), two C-level sums.
-    The counter is charged the d // 2 terms of each ramp sum: one sum for
-    even k, two for odd k."""
-    n, d = sizes[0], len(sizes) - 1
-    h = (d + 1) // 2
-    low = sizes[1 : d - h + 1]
+def delta_from_sizes(
+    d: int,
+    sizes: Sequence[int],
+    both: Sequence[int],
+    rest: Sequence[int],
+    counter: Optional[OpCounter] = None,
+) -> int:
+    """Savings of a pair at distance d >= 2 from the depth stacks of its
+    root path: sizes[j] = s_j, rest[j - 1] = n - s_j and both[j] = s_j +
+    s_{j+1} (s_{d+1} = 0), read up to index d (see the module docstring).
+    Entries past d may hold anything.  Each pair is one slice and one
+    C-level sum.  The counter is charged the d // 2 terms of each ramp sum:
+    one sum for even k, two for odd k."""
     if counter is not None:
-        counter.add(len(low) if d % 2 else 2 * len(low))
-    far = sizes[h + 1 :]
-    near = n * sum(far) - sum(map(mul, far, low))
+        counter.add(d // 2 if d % 2 else d)
+    h = (d + 1) // 2
     if d % 2:  # k = d + 1 even
-        return 2 * near
-    far = sizes[h + 2 :]
-    return near + n * sum(far) - sum(map(mul, far, low))
+        return 2 * sum(map(mul, sizes[h + 1 : d + 1], rest))
+    return sum(map(mul, both[h + 1 : d + 1], rest))
 
 
 def delta_direct(anatomy: CycleAnatomy) -> int:

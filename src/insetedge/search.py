@@ -14,6 +14,13 @@ toward r, one contiguous run of the preorder per ancestor.  Rooted at r,
 only an ancestor's subtree changes: it is everything outside the root-0
 subtree of its child toward r.  So each root costs one walk over the
 vertices it pairs with, and no rooted pass of its own.
+
+The walk keeps the sizes along the current path in three depth stacks
+(sizes, rest and both, see delta.py), allocated once per walk: a vertex
+at distance d from r writes its entries at index d, and both[d - 1], in
+place over those of the pairs walked before.  best_edge scores a pair
+from the stacks with one slice and one C-level sum; candidate_pairs and
+pruning_ratio walk the same pairs without scoring them.
 """
 
 from __future__ import annotations
@@ -47,13 +54,28 @@ def _non_adjacent_count(tree: Tree) -> int:
     return (tree.n - 1) * (tree.n - 2) // 2
 
 
-def _candidates(tree: Tree, pruned: bool) -> Iterator[tuple[int, int, int, list[int]]]:
+def _candidates(
+    tree: Tree, pruned: bool
+) -> tuple[Iterator[tuple[int, int, int]], list[int], list[int], list[int]]:
     """Candidate pairs (u, v), u < v, at distance d >= 2, each once, with
-    sizes = [s_0, ..., s_d], the subtree sizes along the path between them
-    in the tree rooted at the endpoint later in the root-0 preorder (s_0 =
-    n).  With pruned, leaf pairs are dropped by the pruning rule, and the
-    walk from a leaf stops at the largest distance the rule keeps.  sizes
-    is reused: read it before asking for the next pair."""
+    the three depth stacks the walk writes as it goes.  Take the path
+    between u and v in the tree rooted at the endpoint later in the root-0
+    preorder, with subtree sizes s_0 = n, s_1, ..., s_d along it.  When
+    (u, v, d) is yielded, sizes[j] = s_j for j <= d, rest[j - 1] = n - s_j
+    for 1 <= j <= d, both[j] = s_j + s_{j+1} for 1 <= j < d, and both[d] =
+    s_d.  Entries past those are left from earlier pairs.  The stacks are
+    rewritten in place: read them before asking for the next pair.  With
+    pruned, leaf pairs are dropped by the pruning rule, and the walk from
+    a leaf stops at the largest distance the rule keeps."""
+    n = tree.n
+    sizes, both, rest = [n] * n, [0] * n, [0] * n
+    return _walk(tree, pruned, sizes, both, rest), sizes, both, rest
+
+
+def _walk(
+    tree: Tree, pruned: bool, sizes: list[int], both: list[int], rest: list[int]
+) -> Iterator[tuple[int, int, int]]:
+    """The pairs of _candidates, writing the stacks it is given."""
     n = tree.n
     parent0, size0, order = tree._root0
     # relabel by preorder rank: a parent comes before its children, and
@@ -85,18 +107,24 @@ def _candidates(tree: Tree, pruned: bool) -> Iterator[tuple[int, int, int, list[
         # before c, in preorder; the first run starts past r's parent,
         # which is adjacent to r
         a = parent[r]
-        sizes = [n, rerooted[a]]
+        sizes[1] = rerooted[a]
+        rest[0] = n - rerooted[a]
         c, u = r, a + 1
         while True:
             # d(r, u) = depth[r] + depth[u] - 2 depth[a] along a's run
             off = depth[r] - 2 * depth[a]
             while u < c:
                 d = off + depth[u]
-                del sizes[d:]
-                sizes.append(rerooted[u])
+                # the vertex before u on the path was the last one written
+                # at d - 1: u's parent in this run or, for u = a, the child
+                # c of a toward r
+                s = rerooted[u]
+                sizes[d] = both[d] = s
+                both[d - 1] = sizes[d - 1] + s
+                rest[d - 1] = n - s
                 if not (pruned and (from_leaf or leaf[u]) and d not in PRUNE_EXCEPTION_DISTANCES):
                     x = order[u]
-                    yield (x, v, d, sizes) if x < v else (v, x, d, sizes)
+                    yield (x, v, d) if x < v else (v, x, d)
                 # at the limit, skip the vertices below u
                 u += 1 if d < limit else size[u]
             if not a or depth[r] - depth[a] >= limit:
@@ -108,7 +136,8 @@ def _candidates(tree: Tree, pruned: bool) -> Iterator[tuple[int, int, int, list[
 def candidate_pairs(tree: Tree, strategy: str = "exhaustive") -> list[tuple[int, int]]:
     """Candidate shortcut edges (u, v), u < v: all non-adjacent pairs, or
     the leaf-pruned subset, each once."""
-    return [(u, v) for u, v, _, _ in _candidates(tree, strategy == "pruned")]
+    pairs, _, _, _ = _candidates(tree, strategy == "pruned")
+    return [(u, v) for u, v, _ in pairs]
 
 
 def best_edge(tree: Tree, strategy: str = "exhaustive") -> SearchReport:
@@ -125,9 +154,10 @@ def best_edge(tree: Tree, strategy: str = "exhaustive") -> SearchReport:
     best = -1
     best_pairs: list[tuple[int, int]] = []
     evaluated = 0
-    for u, v, d, sizes in _candidates(tree, strategy == "pruned"):
+    pairs, sizes, both, rest = _candidates(tree, strategy == "pruned")
+    for u, v, d in pairs:
         evaluated += 1
-        score = delta_oracle(tree, u, v) if oracle else delta_from_sizes(sizes)
+        score = delta_oracle(tree, u, v) if oracle else delta_from_sizes(d, sizes, both, rest)
         if score > best:
             best = score
             best_pairs = [(u, v)]
@@ -153,5 +183,6 @@ def pruning_ratio(tree: Tree) -> Fraction:
     if tree.n <= 3:
         raise NoCandidates(f"n={tree.n}")
     total = _non_adjacent_count(tree)
-    kept = sum(1 for _ in _candidates(tree, True))
+    pairs, _, _, _ = _candidates(tree, True)
+    kept = sum(1 for _ in pairs)
     return Fraction(total - kept, total)

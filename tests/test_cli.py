@@ -9,7 +9,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from insetedge import random_labeled_tree, serialize_tree
-from insetedge.cli import VERIFY_MAX_N, main
+from insetedge.cli import BENCH_MAX_SIZE, BOUNDS_MAX_N, EXHAUSTIVE_MAX_N, VERIFY_MAX_N, main
 
 from conftest import path_tree
 
@@ -116,6 +116,22 @@ class TestBounds:
         assert out["family_max"] == 234
         assert out["discrepancies"]
 
+    @pytest.mark.parametrize(
+        "argv, limit",
+        [
+            (["--n", str(BOUNDS_MAX_N + 1)], BOUNDS_MAX_N),
+            (["--n", "10000000"], BOUNDS_MAX_N),
+            # n = 9 would scan all 9^7 labeled trees
+            (["--n", "9", "--exhaustive-limit", str(EXHAUSTIVE_MAX_N + 1)], EXHAUSTIVE_MAX_N),
+            (["--n", "16", "--exhaustive-limit", "1000"], EXHAUSTIVE_MAX_N),
+        ],
+    )
+    def test_over_limit_is_domain_error(self, capsys, argv, limit):
+        code, out = run(capsys, "bounds", *argv)
+        assert code == 1
+        assert out["error"] == "OutOfDomain"
+        assert str(limit) in out["message"]
+
 
 class TestExtremal:
     def test_build(self, capsys, tmp_path):
@@ -156,6 +172,18 @@ class TestVerify:
         assert out["error"] == "OutOfDomain"
         assert str(VERIFY_MAX_N) in out["message"]
 
+    def test_best_oracle_over_limit_is_domain_error(self, capsys, tmp_path):
+        # the oracle strategy is O(n^4) like verify; the others stay open
+        f = tmp_path / "long.tree"
+        f.write_text(serialize_tree(path_tree(VERIFY_MAX_N + 1)))
+        code, out = run(capsys, "best", str(f), "--strategy", "oracle")
+        assert code == 1
+        assert out["error"] == "OutOfDomain"
+        assert str(VERIFY_MAX_N) in out["message"]
+        code, out = run(capsys, "best", str(f), "--strategy", "pruned")
+        assert code == 0
+        assert out["evaluated"] > 0
+
 
 class TestBench:
     def test_structure(self, capsys):
@@ -179,6 +207,14 @@ class TestBench:
                 "sweep_ops_per_k2": 2 / 9,
             }
         ]
+
+    @pytest.mark.parametrize("sizes", [[BENCH_MAX_SIZE + 1], [64, 10**12]])
+    def test_over_limit_is_domain_error(self, capsys, sizes):
+        # rejected before the first size is swept
+        code, out = run(capsys, "bench", "--sizes", *map(str, sizes))
+        assert code == 1
+        assert out["error"] == "OutOfDomain"
+        assert str(BENCH_MAX_SIZE) in out["message"]
 
     @pytest.mark.parametrize("size", ["1", "2"])
     def test_path_too_short_to_sweep_is_usage_error(self, capsys, size):
@@ -240,15 +276,21 @@ class TestErrors:
 
 
 # Fuzzing main(argv).  Numbers stay in [-3, 12] (the exhaustive limit at
-# 6 or below) so every example is fast: random garbage text has no digit,
-# and the fixed garbage tokens parse to 4 at most, so no example asks for
-# unbounded work.  No token contains 'h', so no abbreviation of --help
-# (which prints usage on stdout and exits 0) can form.
+# 6 or below), or lie past the work limit of the flag they are drawn for,
+# which is rejected before any work, so every example is fast: random
+# garbage text has no digit, and the fixed garbage tokens parse to 4 at
+# most, so no example asks for unbounded work.  No token contains 'h', so
+# no abbreviation of --help (which prints usage on stdout and exits 0) can
+# form.
 NUMBER = st.sampled_from([str(i) for i in [*range(1, 13), 0, -1, -3]])
 GARBAGE = st.sampled_from(
     ["", "x", "1.5", "0x3", "-", "--", "nan", "1e1", "\u0663", " 4", "--n", "-e"]
 ) | st.text(alphabet="-.+_aenx /\x00\u00e9", max_size=4)
 VALUE = st.one_of(NUMBER, NUMBER, NUMBER, GARBAGE)
+
+
+def past(limit):
+    return st.sampled_from([str(limit + 1), str(2 * limit), str(10**12)])
 
 
 def flag(name, values=VALUE):
@@ -274,8 +316,11 @@ FUZZ_ARGS = {
     "sweep": st.tuples(st.just(["@", "-p"]), st.tuples(VALUE, VALUE)),
     "best": st.tuples(st.just(["@"]), optional("--strategy", choice("exhaustive", "pruned", "oracle"))),
     "bounds": st.tuples(
-        flag("--n"),
-        optional("--exhaustive-limit", st.sampled_from(["4", "5", "6", "0", "-3"]) | GARBAGE),
+        flag("--n", VALUE | past(BOUNDS_MAX_N)),
+        optional(
+            "--exhaustive-limit",
+            st.sampled_from(["4", "5", "6", "0", "-3"]) | past(EXHAUSTIVE_MAX_N) | GARBAGE,
+        ),
     ),
     "extremal": st.tuples(
         flag("--n"),
@@ -291,12 +336,15 @@ FUZZ_ARGS = {
         optional("--stats", choice("leaves", "pruning")),
     ),
     "verify": st.tuples(st.just(["@"])),
-    "bench": st.tuples(st.just(["--sizes"]), st.lists(VALUE, min_size=1, max_size=3)),
+    "bench": st.tuples(
+        st.just(["--sizes"]), st.lists(VALUE | past(BENCH_MAX_SIZE), min_size=1, max_size=3)
+    ),
 }
 
-TREE_DOCUMENTS = st.builds(random_labeled_tree, st.integers(2, 12), st.integers(0, 2**32)).map(
-    lambda t: serialize_tree(t).encode()
-)
+# now and then a tree past the oracle's limit
+TREE_DOCUMENTS = st.builds(
+    random_labeled_tree, st.integers(2, 12) | st.just(VERIFY_MAX_N + 1), st.integers(0, 2**32)
+).map(lambda t: serialize_tree(t).encode())
 TREE_FILES = st.one_of(
     st.binary(max_size=48),
     TREE_DOCUMENTS,

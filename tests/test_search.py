@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import insetedge.search
 import insetedge.tree
 from insetedge import (
+    Tree,
     anatomize,
     best_edge,
     bfs_distances,
@@ -141,12 +142,44 @@ class TestOnePassPerRoot:
             assert pruning_ratio(t) == Fraction(pruned, evaluated + pruned)
 
 
+def assert_stack_scores_match_direct(t):
+    """Score every pair of the walk from the stacks as they stand when it
+    is yielded; return the walk's distances in order."""
+    pairs, sizes, both, rest = _candidates(t, False)
+    distances = []
+    for u, v, d in pairs:
+        assert delta_from_sizes(d, sizes, both, rest) == delta_direct(anatomize(t, u, v)), (u, v, d)
+        distances.append(d)
+    return distances
+
+
+def comb_tree(teeth: int, length: int):
+    # spine 0 .. teeth - 1, each spine vertex with a pendant path of length
+    # vertices: the walks run down whole teeth before climbing back
+    edges = [(i, i + 1) for i in range(teeth - 1)]
+    n = teeth
+    for i in range(teeth):
+        edges += [(i, n), *((n + j, n + j + 1) for j in range(length - 1))]
+        n += length
+    return Tree.from_edges(n, edges)
+
+
 class TestSavings:
     @given(t=savings_trees())
     @settings(max_examples=60, deadline=None)
     def test_every_pair_matches_direct(self, t):
-        for u, v, d, sizes in _candidates(t, False):
-            assert delta_from_sizes(sizes) == delta_direct(anatomize(t, u, v))
+        assert_stack_scores_match_direct(t)
+
+    @pytest.mark.parametrize(
+        "t",
+        [comb_tree(5, 4), comb_tree(3, 7), build_family_tree(16, 8, 2, 8, "star")[0]],
+        ids=["comb-5x4", "comb-3x7", "double-broom"],
+    )
+    def test_deep_walk_backs_up_to_an_even_distance(self, t):
+        # entries past d are left from deeper pairs: a pair at even d that
+        # follows a deeper one reads both[d], which must be its own s_d
+        distances = assert_stack_scores_match_direct(t)
+        assert any(a > b and b % 2 == 0 for a, b in zip(distances, distances[1:]))
 
 
 class TestRouteMismatch:

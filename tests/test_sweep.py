@@ -1,4 +1,5 @@
 import random
+from operator import add
 
 import pytest
 from hypothesis import assume, given, settings
@@ -196,7 +197,11 @@ def reference_sweep(tree, x, y, counter=None):
     n, k = tree.n, len(path)
 
     def record(lo, hi):
-        delta = delta_from_sizes([n, *reversed(size[lo:hi])], counter)
+        # the depth stacks of the root path [n, c_{hi-1}, ..., c_lo]
+        sizes = [n, *reversed(size[lo:hi])]
+        rest = [n - s for s in sizes[1:]]
+        both = [*map(add, sizes, sizes[1:]), sizes[-1]]
+        delta = delta_from_sizes(hi - lo, sizes, both, rest, counter)
         return DeltaRecord(
             x=path[lo], y=path[hi], k=hi - lo + 1, d_prime=delta, ad_prime=ad_prime(delta, n)
         )
