@@ -28,8 +28,8 @@ from .tree import Tree, anatomize, parse_tree, path_between, serialize_tree, wie
 # Work limits, each a domain error past it, measured on a 2-core x86-64
 # machine with Python 3.11.
 # largest tree `verify` and `best --strategy oracle` accept: each scores
-# every pair with the O(n^2)-per-pair oracle, O(n^4) in all, about 2 s at
-# n = 64
+# every pair with the oracle, O(n^4) in all at worst; `verify` takes 0.6 s
+# on a random tree and 1.2 s on the path at n = 64
 VERIFY_MAX_N = 64
 # largest `bounds --n`: the audit grows about as n^3, 0.5 s at n = 512 and
 # about 4 s at n = 1024
@@ -40,6 +40,20 @@ EXHAUSTIVE_MAX_N = 8
 # largest `bench` size: about 1 s and 46 MiB peak at 32768, 3 s and 76 MiB
 # at 65536
 BENCH_MAX_SIZE = 32768
+# most `bench --sizes` values: eight sizes of 32768 take about 6 s
+BENCH_MAX_SIZES = 8
+# largest `extremal --n`: the O(k^2) delta_direct takes about 1.5 s at
+# k = n = 16384 and 6.4 s at 32768
+EXTREMAL_MAX_N = 16384
+# largest `random --n`: one tree takes about 0.6 s and 60 MiB at 100000,
+# 10 s and 450 MiB at 10^6
+RANDOM_MAX_N = 100000
+# largest `random` n * count: about 1.1 s for 10000 trees of 50, 3.3 s for
+# 5 trees of 100000, 3.4 s for `--stats pruning` on 125000 trees of 4
+RANDOM_MAX_VERTICES = 500000
+# largest n^2 * count for `random --stats pruning`, which walks O(n^2)
+# pairs per tree: 0.8 s at n = 3162, count 1 and 0.9 s at n = 1000, count 10
+PRUNING_MAX_PAIRS = 10**7
 
 
 def _frac(f: Fraction) -> str:
@@ -160,6 +174,8 @@ def _cmd_bounds(args) -> dict:
 
 
 def _cmd_extremal(args) -> dict:
+    if args.n > EXTREMAL_MAX_N:
+        raise OutOfDomain(f"n={args.n}: extremal supported for n <= {EXTREMAL_MAX_N}")
     tree, pair = build_family_tree(args.n, args.k, args.wx, args.wy, args.shape)
     anatomy = anatomize(tree, *pair)
     d = delta_direct(anatomy)
@@ -177,6 +193,17 @@ def _cmd_extremal(args) -> dict:
 
 
 def _cmd_random(args) -> dict:
+    if args.n > RANDOM_MAX_N:
+        raise OutOfDomain(f"n={args.n}: random supported for n <= {RANDOM_MAX_N}")
+    if args.n * args.count > RANDOM_MAX_VERTICES:
+        raise OutOfDomain(
+            f"n={args.n}, count={args.count}: random supported for n * count <= {RANDOM_MAX_VERTICES}"
+        )
+    if args.stats == "pruning" and args.n * args.n * args.count > PRUNING_MAX_PAIRS:
+        raise OutOfDomain(
+            f"n={args.n}, count={args.count}: random --stats pruning supported for"
+            f" n^2 * count <= {PRUNING_MAX_PAIRS}"
+        )
     payload = {
         "command": "random",
         "n": args.n,
@@ -249,6 +276,8 @@ def _cmd_verify(args) -> tuple[dict, int]:
 
 
 def _cmd_bench(args) -> dict:
+    if len(args.sizes) > BENCH_MAX_SIZES:
+        raise OutOfDomain(f"{len(args.sizes)} sizes: bench supported for at most {BENCH_MAX_SIZES}")
     too_long = [n for n in args.sizes if n > BENCH_MAX_SIZE]
     if too_long:
         raise OutOfDomain(f"sizes {too_long}: bench supported for sizes <= {BENCH_MAX_SIZE}")

@@ -2,10 +2,12 @@
 
 Everything here is a test fixture, deliberately independent of the
 formula-based modules it validates.  All sums are exact Python integers.
-wiener_brute runs one BFS per source (the visit list is the queue) and
-sums each distance row.  delta_oracle brute-forces the tree's own sum D(T)
-once per tree (a one-entry cache keyed by the tree's value, holding only
-that BFS sum) and the graph with the added edge on every call.
+wiener_brute runs the BFS from every source at once, one distance level
+at a time: each vertex holds a bitmask of the vertices within distance t,
+and the sum is read off the masks with int.bit_count.  delta_oracle
+brute-forces the tree's own sum D(T) once per tree (a one-entry cache
+keyed by the tree's value, holding only that sum) and the graph with the
+added edge on every call.
 """
 
 from __future__ import annotations
@@ -54,29 +56,39 @@ def tree_plus_edge(tree: Tree, x: int, y: int) -> SimpleGraph:
     return SimpleGraph(tree.n, tuple(adj))
 
 
-def _bfs(graph: SimpleGraph, source: int) -> list[int]:
-    dist = [-1] * graph.n
-    dist[source] = 0
-    visit = [source]
-    adj = graph.adjacency
-    # the loop reads the list it appends to, in visit order
-    for u in visit:
-        du = dist[u] + 1
-        for w in adj[u]:
-            if dist[w] < 0:
-                dist[w] = du
-                visit.append(w)
-    return dist
-
-
 def wiener_brute(graph: SimpleGraph) -> int:
-    """Sum of distances over all unordered vertex pairs."""
+    """Sum of distances over all unordered vertex pairs.
+
+    reach[v] is the bitmask of the vertices within distance t of v; one
+    level ORs in the neighbours' masks, and a full mask stays as it is.
+    An ordered pair (a, b) is farther apart than t for t = 0 .. d(a, b) - 1,
+    so the ordered sum is the count of such pairs summed over t.  A level
+    that adds nothing leaves a mask short for good: the graph is
+    disconnected."""
+    n = graph.n
+    adj = graph.adjacency
+    full = (1 << n) - 1
+    reach = [1 << v for v in range(n)]
+    active = range(n)
+    far = n * (n - 1)  # ordered pairs farther apart than t, at t = 0
     total = 0
-    for s in range(graph.n):
-        dist = _bfs(graph, s)
-        if -1 in dist:
-            raise Disconnected(f"vertex unreachable from {s}")
-        total += sum(dist)
+    while far:
+        total += far
+        nxt = reach[:]
+        keep = []
+        seen = 0
+        for v in active:
+            m = reach[v]
+            for w in adj[v]:
+                m |= reach[w]
+            nxt[v] = m
+            if m != full:
+                keep.append(v)
+                seen += m.bit_count()
+        reach, active = nxt, keep
+        was, far = far, n * len(keep) - seen
+        if far == was:
+            raise Disconnected(f"vertex unreachable from {keep[0]}")
     return total // 2
 
 

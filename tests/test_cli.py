@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import tempfile
 
@@ -9,7 +10,18 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from insetedge import random_labeled_tree, serialize_tree
-from insetedge.cli import BENCH_MAX_SIZE, BOUNDS_MAX_N, EXHAUSTIVE_MAX_N, VERIFY_MAX_N, main
+from insetedge.cli import (
+    BENCH_MAX_SIZE,
+    BENCH_MAX_SIZES,
+    BOUNDS_MAX_N,
+    EXHAUSTIVE_MAX_N,
+    EXTREMAL_MAX_N,
+    PRUNING_MAX_PAIRS,
+    RANDOM_MAX_N,
+    RANDOM_MAX_VERTICES,
+    VERIFY_MAX_N,
+    main,
+)
 
 from conftest import path_tree
 
@@ -141,6 +153,13 @@ class TestExtremal:
         assert out["pair"] == [0, 5]
         assert out["edge_list"].startswith("8\n")
 
+    def test_over_limit_is_domain_error(self, capsys):
+        # rejected before the family's shape is checked
+        code, out = run(capsys, "extremal", "--n", str(EXTREMAL_MAX_N + 1), "--k", "3", "--wx", "1", "--wy", "1")
+        assert code == 1
+        assert out["error"] == "OutOfDomain"
+        assert str(EXTREMAL_MAX_N) in out["message"]
+
 
 class TestRandom:
     def test_corpus_deterministic(self, capsys):
@@ -154,6 +173,31 @@ class TestRandom:
         assert code == 0
         assert out["mean_leaves"] > 0
         assert "exact_mean" in out and "asymptotic_mean" in out
+
+    @pytest.mark.parametrize(
+        "argv, limit",
+        [
+            (["--n", str(RANDOM_MAX_N + 1)], RANDOM_MAX_N),
+            (["--n", "50", "--count", str(RANDOM_MAX_VERTICES // 50 + 1), "--stats", "leaves"], RANDOM_MAX_VERTICES),
+            (["--n", "1", "--count", str(RANDOM_MAX_VERTICES + 1)], RANDOM_MAX_VERTICES),
+            (["--n", "2000", "--count", "2000", "--stats", "pruning"], RANDOM_MAX_VERTICES),
+            (["--n", "3163", "--stats", "pruning"], PRUNING_MAX_PAIRS),
+            (["--n", "100", "--count", str(PRUNING_MAX_PAIRS // 10**4 + 1), "--stats", "pruning"], PRUNING_MAX_PAIRS),
+        ],
+    )
+    def test_over_limit_is_domain_error(self, capsys, argv, limit):
+        code, out = run(capsys, "random", *argv)
+        assert code == 1
+        assert out["error"] == "OutOfDomain"
+        assert str(limit) in out["message"]
+
+    def test_at_limits(self, capsys):
+        # n * count and n^2 * count may each reach their limit; the first is
+        # the README's example
+        argv = ["--n", "50", "--count", str(RANDOM_MAX_VERTICES // 50), "--stats", "leaves"]
+        assert run(capsys, "random", *argv)[0] == 0
+        argv = ["--n", "1000", "--count", str(PRUNING_MAX_PAIRS // 10**6), "--stats", "pruning"]
+        assert run(capsys, "random", *argv)[0] == 0
 
 
 class TestVerify:
@@ -216,6 +260,12 @@ class TestBench:
         assert out["error"] == "OutOfDomain"
         assert str(BENCH_MAX_SIZE) in out["message"]
 
+    def test_too_many_sizes_is_domain_error(self, capsys):
+        code, out = run(capsys, "bench", "--sizes", *["3"] * (BENCH_MAX_SIZES + 1))
+        assert code == 1
+        assert out["error"] == "OutOfDomain"
+        assert str(BENCH_MAX_SIZES) in out["message"]
+
     @pytest.mark.parametrize("size", ["1", "2"])
     def test_path_too_short_to_sweep_is_usage_error(self, capsys, size):
         with pytest.raises(SystemExit) as exc:
@@ -277,7 +327,9 @@ class TestErrors:
 
 # Fuzzing main(argv).  Numbers stay in [-3, 12] (the exhaustive limit at
 # 6 or below), or lie past the work limit of the flag they are drawn for,
-# which is rejected before any work, so every example is fast: random
+# which is rejected before any work, so every example is fast (the one
+# `random --n` past the pruning limit makes at most 12 trees of 3163
+# vertices when it is not rejected): random
 # garbage text has no digit, and the fixed garbage tokens parse to 4 at
 # most, so no example asks for unbounded work.  No token contains 'h', so
 # no abbreviation of --help (which prints usage on stdout and exits 0) can
@@ -323,21 +375,22 @@ FUZZ_ARGS = {
         ),
     ),
     "extremal": st.tuples(
-        flag("--n"),
+        flag("--n", VALUE | past(EXTREMAL_MAX_N)),
         flag("--k"),
         flag("--wx"),
         flag("--wy"),
         optional("--shape", choice("star", "path")),
     ),
     "random": st.tuples(
-        flag("--n"),
-        optional("--count", VALUE),
+        flag("--n", VALUE | past(RANDOM_MAX_N) | st.just(str(math.isqrt(PRUNING_MAX_PAIRS) + 1))),
+        optional("--count", VALUE | past(RANDOM_MAX_VERTICES)),
         optional("--seed", VALUE | st.integers().map(str)),
         optional("--stats", choice("leaves", "pruning")),
     ),
     "verify": st.tuples(st.just(["@"])),
     "bench": st.tuples(
-        st.just(["--sizes"]), st.lists(VALUE | past(BENCH_MAX_SIZE), min_size=1, max_size=3)
+        st.just(["--sizes"]),
+        st.lists(VALUE | past(BENCH_MAX_SIZE), min_size=1, max_size=BENCH_MAX_SIZES + 2),
     ),
 }
 

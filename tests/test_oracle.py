@@ -35,6 +35,22 @@ def floyd_warshall_sum(graph):
     return sum(d[i][j] for i in range(n) for j in range(i + 1, n))
 
 
+@st.composite
+def connected_graphs(draw):
+    """A random spanning tree on up to 16 vertices, relabeled, plus extra
+    edges: connected, and with several cycles once n is large enough."""
+    n = draw(st.integers(1, 16))
+    label = draw(st.permutations(range(n)))
+    edges = {
+        tuple(sorted((label[v], label[draw(st.integers(0, v - 1))]))) for v in range(1, n)
+    }
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for u, v in draw(st.lists(pairs, min_size=2, max_size=3 * n)):
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    return SimpleGraph.from_edges(n, sorted(edges))
+
+
 class TestWienerBrute:
     def test_p2(self):
         assert wiener_brute(SimpleGraph.from_tree(path_tree(2))) == 1
@@ -58,6 +74,22 @@ class TestWienerBrute:
         for u, v in non_adjacent_pairs(t):
             g = tree_plus_edge(t, u, v)
             assert wiener_brute(g) == floyd_warshall_sum(g)
+
+    @given(graph=connected_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_graphs_with_cycles_match_floyd_warshall(self, graph):
+        assert wiener_brute(graph) == floyd_warshall_sum(graph)
+
+    def test_one_vertex(self):
+        assert wiener_brute(SimpleGraph.from_edges(1, [])) == 0
+
+    def test_path_minus_any_edge_is_disconnected(self):
+        for n in range(2, 10):
+            edges = [(i, i + 1) for i in range(n - 1)]
+            for cut in range(n - 1):
+                graph = SimpleGraph.from_edges(n, edges[:cut] + edges[cut + 1 :])
+                with pytest.raises(Disconnected, match="unreachable from 0$"):
+                    wiener_brute(graph)
 
 
 class TestWienerLinear:
