@@ -29,7 +29,6 @@ import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice, product
 from typing import Optional
 
 from .delta import delta_direct, delta_from_weights
@@ -169,55 +168,93 @@ class ExhaustiveScan:
 _SCAN_BATCH = 2048
 
 
+def prufer_decode_batch(n: int, codes):
+    """Edges of the labeled trees whose Prüfer sequences are the columns of
+    codes, an (n - 2, b) integer array, as two (n - 1, b) arrays lo < hi.
+    Column by column this is randgen.prufer_decode, the reference decoder:
+    each of the n - 2 steps joins the smallest vertex of degree 1 in every
+    column to that column's next code entry, and the last step joins the
+    two vertices left."""
+    import numpy as np
+
+    b = codes.shape[1]
+    cols = np.arange(b)
+    deg = 1 + (codes[:, None, :] == np.arange(n)[:, None]).sum(axis=0, dtype=np.int8)
+    lo = np.empty((n - 1, b), dtype=np.intp)
+    hi = np.empty((n - 1, b), dtype=np.intp)
+    for i, v in enumerate(codes):
+        leaf = (deg == 1).argmax(axis=0)
+        np.minimum(leaf, v, out=lo[i])
+        np.maximum(leaf, v, out=hi[i])
+        deg[leaf, cols] = 0
+        deg[v, cols] -= 1
+    last = deg == 1
+    lo[-1] = last.argmax(axis=0)
+    hi[-1] = n - 1 - last[::-1].argmax(axis=0)
+    return lo, hi
+
+
 @lru_cache(maxsize=None)
 def exhaustive_scan(n: int) -> ExhaustiveScan:
     """Scan all n^(n-2) labeled trees (Prüfer enumeration) and all candidate
-    pairs.  Savings come from the tree distance matrix: the new distance is
-    the old one or a route through the added edge, vectorized over batches.
-    This is the package's only use of numpy, and the only place that imports
-    it, so a run that never scans never loads it."""
+    pairs.  Savings come from the tree distance matrix (Floyd–Warshall): for
+    a pair x < y the new distance of u, v is min(d(u, v), r(u, v), r(v, u))
+    with r(u, v) = d(u, x) + 1 + d(y, v).  A batch's codes are the base-n
+    digits of a range of indices, in itertools.product order; the batch is
+    decoded and scored in numpy, with int8 distances and the tree index as
+    the last axis, so no Python code runs per tree.  This is the package's
+    only use of numpy, and the only place that imports it, so a run that
+    never scans never loads it."""
     if not 4 <= n <= 9:
         raise OutOfDomain(f"n={n}: exhaustive scan supported for 4 <= n <= 9")
     import numpy as np
 
     big = 4 * n
+    # the largest sum formed: two distances of at most big, plus the new edge
+    assert 2 * big + 1 <= np.iinfo(np.int8).max
     eye = np.eye(n, dtype=bool)
+    xs, ys = np.triu_indices(n, 1)
+    powers = n ** np.arange(n - 3, -1, -1)[:, None]
 
     best = -1
-    best_edges: tuple[tuple[int, int], ...] = ()
+    best_code: list[int] = []
     best_pair = (-1, -1)
     min_delta = None
     lower_ok = True
     tree_count = 0
+    total = n ** (n - 2)
 
-    codes = product(range(n), repeat=n - 2)
-    while batch := list(islice(codes, _SCAN_BATCH)):
-        b = len(batch)
+    for start in range(0, total, _SCAN_BATCH):
+        codes = np.arange(start, min(start + _SCAN_BATCH, total)) // powers % n
+        b = codes.shape[1]
         tree_count += b
-        all_edges = [prufer_decode(n, code) for code in batch]
-        edge_arr = np.array(all_edges, dtype=np.int64)  # (b, n - 1, 2)
-        adj = np.zeros((b, n, n), dtype=np.int16)
-        rows = np.arange(b)[:, None]
-        adj[rows, edge_arr[:, :, 0], edge_arr[:, :, 1]] = 1
-        adj[rows, edge_arr[:, :, 1], edge_arr[:, :, 0]] = 1
-        dist = np.where(adj > 0, 1, big).astype(np.int16)
-        dist[:, eye] = 0
+        lo, hi = prufer_decode_batch(n, codes)
+        cols = np.arange(b)
+        dist = np.full((n, n, b), big, dtype=np.int8)
+        dist[eye] = 0
+        dist[lo, hi, cols] = 1
+        dist[hi, lo, cols] = 1
         for m in range(n):
-            dist = np.minimum(dist, dist[:, :, m][:, :, None] + dist[:, m, :][:, None, :])
-        # route[t, x, y, u, v] = d(u, x) + 1 + d(y, v)
-        route = dist[:, :, None, :, None] + dist[:, None, :, None, :] + 1
-        old = dist[:, None, None, :, :]
-        new = np.minimum(old, np.minimum(route, route.transpose(0, 2, 1, 3, 4)))
-        delta = (old - new).sum(axis=(3, 4)) // 2  # (b, x, y)
-        nonadj = (adj == 0) & ~eye[None, :, :]
+            np.minimum(dist, dist[:, m, None] + dist[None, m], out=dist)
+        # route[p, u, v, t] = d(u, x_p) + 1 + d(y_p, v) in tree t
+        to_x = dist[xs] + 1
+        to_y = dist[ys]
+        route = to_x[:, :, None] + to_y[:, None, :]
+        np.minimum(route, to_y[:, :, None] + to_x[:, None, :], out=route)
+        np.minimum(route, dist, out=route)
+        old = dist.sum(axis=(0, 1), dtype=np.int32)
+        delta = (old - route.sum(axis=(1, 2), dtype=np.int32)) // 2  # (P, b)
+        pair_dist = dist[xs, ys]
+        nonadj = pair_dist > 1
 
-        masked_max = np.where(nonadj, delta, -1)
+        # tree-major, so argmax takes the first tree, then the first pair
+        masked_max = np.where(nonadj, delta, -1).T
         local_max = int(masked_max.max())
         if local_max > best:
             best = local_max
-            t, x, y = np.unravel_index(int(masked_max.argmax()), masked_max.shape)
-            best_edges = tuple(sorted(all_edges[t]))
-            best_pair = (int(min(x, y)), int(max(x, y)))
+            t, p = np.unravel_index(int(masked_max.argmax()), masked_max.shape)
+            best_code = codes[:, t].tolist()
+            best_pair = (int(xs[p]), int(ys[p]))
 
         masked_min = np.where(nonadj, delta, big * n * n)
         local_min = int(masked_min.min())
@@ -225,20 +262,19 @@ def exhaustive_scan(n: int) -> ExhaustiveScan:
             min_delta = local_min
         if local_min < 1:
             lower_ok = False
-        deg = adj.sum(axis=2)
+        leaf = (dist == 1).sum(axis=1) == 1
         ones = (delta == 1) & nonadj
-        leaf_pairs_at_2 = (
-            (deg[:, :, None] == 1) & (deg[:, None, :] == 1) & (dist == 2) & nonadj
-        )
+        leaf_pairs_at_2 = leaf[xs] & leaf[ys] & (pair_dist == 2)
         if not np.array_equal(ones, leaf_pairs_at_2):
             lower_ok = False
 
     assert min_delta is not None
+    # the reference decoder lists the first maximizing tree's edges
     return ExhaustiveScan(
         n=n,
         tree_count=tree_count,
         max_delta=best,
-        argmax_edges=best_edges,
+        argmax_edges=tuple(sorted(prufer_decode(n, best_code))),
         argmax_pair=best_pair,
         min_delta=min_delta,
         lower_bound_ok=lower_ok,

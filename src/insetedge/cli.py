@@ -35,7 +35,7 @@ VERIFY_MAX_N = 64
 # about 4 s at n = 1024
 BOUNDS_MAX_N = 1024
 # largest `bounds --exhaustive-limit`: the scan visits all n^(n-2) labeled
-# trees, about 11 s at n = 8 and 4.5 min at n = 9
+# trees, about 1 s at n = 8 and 20 s at n = 9
 EXHAUSTIVE_MAX_N = 8
 # largest `bench` size: about 1 s and 46 MiB peak at 32768, 3 s and 76 MiB
 # at 65536

@@ -1,7 +1,7 @@
 import os
 import subprocess
 import sys
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -19,9 +19,16 @@ from insetedge import (
     family_delta,
     family_optimum,
 )
-from insetedge.bounds import _family_table, critical_points, exhaustive_scan
+from insetedge.bounds import (
+    ExhaustiveScan,
+    _family_table,
+    critical_points,
+    exhaustive_scan,
+    prufer_decode_batch,
+)
 from insetedge.delta import delta_from_weights
 from insetedge.errors import OutOfDomain
+from insetedge.randgen import SplitMix64, prufer_decode
 
 
 class TestClaimedUpper:
@@ -188,6 +195,45 @@ class TestExhaustiveScan:
         scan = exhaustive_scan(6)
         t = Tree.from_edges(6, scan.argmax_edges)
         assert delta_oracle(t, *scan.argmax_pair) == scan.max_delta
+
+    # the first maximizing tree in Prüfer code order, then the smallest pair
+    @pytest.mark.parametrize(
+        "n, max_delta, argmax_edges, argmax_pair",
+        [
+            (4, 2, ((0, 1), (0, 2), (1, 3)), (0, 3)),
+            (5, 5, ((0, 1), (0, 3), (1, 2), (2, 4)), (3, 4)),
+            (6, 9, ((0, 1), (0, 4), (1, 2), (2, 3), (3, 5)), (0, 5)),
+            (7, 16, ((0, 1), (0, 5), (1, 2), (2, 3), (3, 4), (4, 6)), (0, 4)),
+        ],
+    )
+    def test_record(self, n, max_delta, argmax_edges, argmax_pair):
+        assert exhaustive_scan(n) == ExhaustiveScan(
+            n=n,
+            tree_count=n ** (n - 2),
+            max_delta=max_delta,
+            argmax_edges=argmax_edges,
+            argmax_pair=argmax_pair,
+            min_delta=1,
+            lower_bound_ok=True,
+        )
+
+
+def assert_batch_decode_matches_reference(n, codes):
+    import numpy as np
+
+    lo, hi = prufer_decode_batch(n, np.array(codes).T)
+    for t, code in enumerate(codes):
+        assert list(zip(lo[:, t].tolist(), hi[:, t].tolist())) == prufer_decode(n, code), code
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_batch_decode_every_code(n):
+    assert_batch_decode_matches_reference(n, list(product(range(n), repeat=n - 2)))
+
+
+def test_batch_decode_seeded_codes_n9():
+    rng = SplitMix64(9)
+    assert_batch_decode_matches_reference(9, [[rng.below(9) for _ in range(7)] for _ in range(300)])
 
 
 class TestCriticalPoints:
