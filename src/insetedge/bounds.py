@@ -136,18 +136,13 @@ def build_family_tree(
     _check_family(n, k, w_x, w_y)
     edges = [(i, i + 1) for i in range(k - 1)]
     next_id = k
-
-    def attach(anchor: int, count: int) -> None:
-        nonlocal next_id
+    for anchor, count in ((0, w_x - 1), (k - 1, w_y - 1)):
         prev = anchor
         for _ in range(count):
             edges.append((prev, next_id))
             if shape == "path":
                 prev = next_id
             next_id += 1
-
-    attach(0, w_x - 1)
-    attach(k - 1, w_y - 1)
     return Tree.from_edges(n, edges), (0, k - 1)
 
 
@@ -194,7 +189,6 @@ def prufer_decode_batch(n: int, codes):
     return lo, hi
 
 
-@lru_cache(maxsize=None)
 def exhaustive_scan(n: int) -> ExhaustiveScan:
     """Scan all n^(n-2) labeled trees (Prüfer enumeration) and all candidate
     pairs.  Savings come from the tree distance matrix (Floyd–Warshall): for
@@ -219,7 +213,8 @@ def exhaustive_scan(n: int) -> ExhaustiveScan:
     best = -1
     best_code: list[int] = []
     best_pair = (-1, -1)
-    min_delta = None
+    # every tree with n >= 4 has a non-adjacent pair, so none keeps the fill
+    fill = min_delta = big * n * n
     lower_ok = True
     tree_count = 0
     total = n ** (n - 2)
@@ -256,10 +251,8 @@ def exhaustive_scan(n: int) -> ExhaustiveScan:
             best_code = codes[:, t].tolist()
             best_pair = (int(xs[p]), int(ys[p]))
 
-        masked_min = np.where(nonadj, delta, big * n * n)
-        local_min = int(masked_min.min())
-        if min_delta is None or local_min < min_delta:
-            min_delta = local_min
+        local_min = int(np.where(nonadj, delta, fill).min())
+        min_delta = min(min_delta, local_min)
         if local_min < 1:
             lower_ok = False
         leaf = (dist == 1).sum(axis=1) == 1
@@ -268,7 +261,6 @@ def exhaustive_scan(n: int) -> ExhaustiveScan:
         if not np.array_equal(ones, leaf_pairs_at_2):
             lower_ok = False
 
-    assert min_delta is not None
     # the reference decoder lists the first maximizing tree's edges
     return ExhaustiveScan(
         n=n,

@@ -31,6 +31,9 @@ from .tree import Tree, anatomize, parse_tree, path_between, serialize_tree, wie
 # every pair with the oracle, O(n^4) in all at worst; `verify` takes 0.6 s
 # on a random tree and 1.2 s on the path at n = 64
 VERIFY_MAX_N = 64
+# largest tree `delta --method oracle` accepts: on the path the command
+# takes about 0.4 s at n = 512, 0.9-1.2 s at 1024 and 3.7-5.0 s at 2048
+ORACLE_MAX_N = 1024
 # largest `bounds --n`: the audit grows about as n^3, 0.5 s at n = 512 and
 # about 4 s at n = 1024
 BOUNDS_MAX_N = 1024
@@ -42,8 +45,9 @@ EXHAUSTIVE_MAX_N = 8
 BENCH_MAX_SIZE = 32768
 # most `bench --sizes` values: eight sizes of 32768 take about 6 s
 BENCH_MAX_SIZES = 8
-# largest `extremal --n`: the O(k^2) delta_direct takes about 1.5 s at
-# k = n = 16384 and 6.4 s at 32768
+# largest `extremal --n`, and largest cycle length of `delta --method
+# direct`: the O(k^2) delta_direct takes about 1.5 s at k = n = 16384 and
+# 6.4 s at 32768
 EXTREMAL_MAX_N = 16384
 # largest `random --n`: one tree takes about 0.6 s and 60 MiB at 100000,
 # 10 s and 450 MiB at 10^6
@@ -114,11 +118,15 @@ def _cmd_delta(args) -> dict:
     tree = _load(args.file)
     x, y = args.edge
     if args.method == "oracle":
+        if tree.n > ORACLE_MAX_N:
+            raise OutOfDomain(f"n={tree.n}: delta --method oracle supported for n <= {ORACLE_MAX_N}")
         d = delta_oracle(tree, x, y)
         k = len(path_between(tree, x, y))
     else:
         anatomy = anatomize(tree, x, y)
         k = anatomy.k
+        if args.method == "direct" and k > EXTREMAL_MAX_N:
+            raise OutOfDomain(f"k={k}: delta --method direct supported for k <= {EXTREMAL_MAX_N}")
         d = delta_via_matrix(anatomy) if args.method == "matrix" else delta_direct(anatomy)
     record = DeltaRecord(x=x, y=y, k=k, d_prime=d, ad_prime=ad_prime(d, tree.n))
     return {

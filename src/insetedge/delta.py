@@ -34,6 +34,9 @@ delta_from_sizes reads the factors from depth stacks that a walk down
 the root path writes in place: sizes[j] = s_j, rest[j - 1] = n - s_j and
 both[j] = s_j + s_{j+1}, whose last entry both[D] = s_D.  Each pair is
 then one slice (sizes for even k, both for odd k) zipped with rest.
+sweep.sweep_path, which evaluates the same ramp sums along a path, is
+where this route's operations are counted: D // 2 terms per ramp sum,
+one sum for even k and two for odd k.
 """
 
 from __future__ import annotations
@@ -92,16 +95,12 @@ def delta_from_sizes(
     sizes: Sequence[int],
     both: Sequence[int],
     rest: Sequence[int],
-    counter: Optional[OpCounter] = None,
 ) -> int:
     """Savings of a pair at distance d >= 2 from the depth stacks of its
     root path: sizes[j] = s_j, rest[j - 1] = n - s_j and both[j] = s_j +
     s_{j+1} (s_{d+1} = 0), read up to index d (see the module docstring).
     Entries past d may hold anything.  Each pair is one slice and one
-    C-level sum.  The counter is charged the d // 2 terms of each ramp sum:
-    one sum for even k, two for odd k."""
-    if counter is not None:
-        counter.add(d // 2 if d % 2 else d)
+    C-level sum."""
     h = (d + 1) // 2
     if d % 2:  # k = d + 1 even
         return 2 * sum(map(mul, sizes[h + 1 : d + 1], rest))

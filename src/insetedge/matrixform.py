@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
-from typing import Callable
 
 from .counting import _correlate
 from .errors import KTooSmall
@@ -48,28 +47,15 @@ def _f_entry(k: int, i: int, j: int) -> int:
     return _d_entry(kp, i, j) + (k % 2 and _o_entry(kp, i, j))
 
 
-def _build(k: int, entry: Callable[[int, int, int], int]) -> CoefficientMatrix:
-    """The k' x k' matrix of entry(k', i, j), i and j 1-based."""
+def build_F(k: int) -> CoefficientMatrix:
+    """F_k = D_k + O_k for odd k, D_k for even k."""
     if k < 3:
         raise KTooSmall(f"k={k}")
     kp = k // 2
     rows = tuple(
-        tuple(entry(kp, i, j) for j in range(1, kp + 1)) for i in range(1, kp + 1)
+        tuple(_f_entry(k, i, j) for j in range(1, kp + 1)) for i in range(1, kp + 1)
     )
     return CoefficientMatrix(k, kp, rows)
-
-
-def build_D(k: int) -> CoefficientMatrix:
-    return _build(k, _d_entry)
-
-
-def build_O(k: int) -> CoefficientMatrix:
-    return _build(k, _o_entry)
-
-
-def build_F(k: int) -> CoefficientMatrix:
-    """F_k = D_k + O_k for odd k, D_k for even k."""
-    return _build(k, lambda kp, i, j: _f_entry(k, i, j))
 
 
 # bounded: a caller that scores every pair of a long path meets every k

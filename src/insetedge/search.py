@@ -136,6 +136,8 @@ def _walk(
 def candidate_pairs(tree: Tree, strategy: str = "exhaustive") -> list[tuple[int, int]]:
     """Candidate shortcut edges (u, v), u < v: all non-adjacent pairs, or
     the leaf-pruned subset, each once."""
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
     pairs, _, _, _ = _candidates(tree, strategy == "pruned")
     return [(u, v) for u, v, _ in pairs]
 

@@ -24,9 +24,8 @@ the lag-i correlation of the fixed sequences c[lo_0 : lo_0 + L] and
 e[A : hi_0].  A whole sweep is 4 or 5 such correlations.
 counting._correlate takes each as one exact product of two Python ints
 (Kronecker substitution), so no per-record sum is left.  The counter is
-still charged the terms of the ramp sums each record is made of, as
-delta_from_sizes charges them: d // 2 per ramp sum, one sum for odd d
-and two for even d, although delta_from_sizes takes the two as one sum.
+still charged the terms of the ramp sums each record is made of: d // 2
+per ramp sum, one sum for odd d and two for even d.
 Sizes come from the tree's kept root-0 pass.
 """
 

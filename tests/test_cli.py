@@ -16,6 +16,7 @@ from insetedge.cli import (
     BOUNDS_MAX_N,
     EXHAUSTIVE_MAX_N,
     EXTREMAL_MAX_N,
+    ORACLE_MAX_N,
     PRUNING_MAX_PAIRS,
     RANDOM_MAX_N,
     RANDOM_MAX_VERTICES,
@@ -87,6 +88,31 @@ class TestDelta:
         code, out = run(capsys, "delta", p7_file, "-e", "0", "9", "--method", "oracle")
         assert code == 1
         assert out["error"] == "IdOutOfRange"
+
+    def test_oracle_over_limit_is_domain_error(self, capsys, tmp_path):
+        # rejected before the all-pairs BFS; the formula routes stay open
+        f = tmp_path / "long.tree"
+        f.write_text(serialize_tree(path_tree(ORACLE_MAX_N + 1)))
+        code, out = run(capsys, "delta", str(f), "-e", "0", "2", "--method", "oracle")
+        assert code == 1
+        assert out["error"] == "OutOfDomain"
+        assert str(ORACLE_MAX_N) in out["message"]
+        code, out = run(capsys, "delta", str(f), "-e", "0", "2", "--method", "direct")
+        # the shortcut brings vertex 0 one step nearer to each of 2 .. n - 1
+        assert (code, out["d_prime"]) == (0, ORACLE_MAX_N - 1)
+
+    def test_direct_over_limit_is_domain_error(self, capsys, tmp_path):
+        # the O(k^2) direct sum has extremal's cycle-length limit; the
+        # matrix route scores the same pair
+        k = EXTREMAL_MAX_N + 1
+        f = tmp_path / "long.tree"
+        f.write_text(serialize_tree(path_tree(k)))
+        code, out = run(capsys, "delta", str(f), "-e", "0", str(k - 1), "--method", "direct")
+        assert code == 1
+        assert out["error"] == "OutOfDomain"
+        assert str(EXTREMAL_MAX_N) in out["message"]
+        code, out = run(capsys, "delta", str(f), "-e", "0", str(k - 1), "--method", "matrix")
+        assert (code, out["k"]) == (0, k)
 
 
 class TestBest:

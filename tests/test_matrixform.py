@@ -11,7 +11,7 @@ from insetedge import (
     random_labeled_tree,
 )
 from insetedge.errors import KTooSmall
-from insetedge.matrixform import _anti_diagonal_entries, _d_entry, _o_entry, build_D, build_O
+from insetedge.matrixform import _anti_diagonal_entries, _d_entry, _o_entry
 
 from conftest import path_tree
 
@@ -60,18 +60,6 @@ class TestFixtures:
     def test_k_too_small(self):
         with pytest.raises(KTooSmall):
             build_F(2)
-
-    def test_decomposition(self):
-        # F = D for even k, D + O for odd k
-        for k in range(3, 30):
-            d = build_D(k).entries
-            o = build_O(k).entries
-            f = build_F(k).entries
-            kp = k // 2
-            for i in range(kp):
-                for j in range(kp):
-                    expected = d[i][j] + (o[i][j] if k % 2 else 0)
-                    assert f[i][j] == expected
 
 
 class TestHankel:

@@ -41,6 +41,11 @@ class TestCandidatePairs:
         # all leaf pairs are at distance 2, an exception of the rule
         assert len(candidate_pairs(s5, "pruned")) == 6
 
+    def test_unknown_strategy(self, p7):
+        # the same error as best_edge, not every pair
+        with pytest.raises(ValueError, match="unknown strategy 'greedy'"):
+            candidate_pairs(p7, "greedy")
+
 
 class TestBestEdge:
     def test_p7(self, p7):

@@ -192,7 +192,8 @@ class TestCorrelate:
 
 
 def reference_sweep(tree, x, y, counter=None):
-    """The per-record route: one delta_from_sizes sum per record."""
+    """The per-record route: one delta_from_sizes sum per record, with the
+    ops sweep_path charges for it."""
     path, size = _path_sizes(tree, x, y)
     n, k = tree.n, len(path)
 
@@ -201,7 +202,11 @@ def reference_sweep(tree, x, y, counter=None):
         sizes = [n, *reversed(size[lo:hi])]
         rest = [n - s for s in sizes[1:]]
         both = [*map(add, sizes, sizes[1:]), sizes[-1]]
-        delta = delta_from_sizes(hi - lo, sizes, both, rest, counter)
+        d = hi - lo
+        if counter is not None:
+            # d // 2 terms per ramp sum: one sum for odd d, two for even d
+            counter.add(d // 2 if d % 2 else d)
+        delta = delta_from_sizes(d, sizes, both, rest)
         return DeltaRecord(
             x=path[lo], y=path[hi], k=hi - lo + 1, d_prime=delta, ad_prime=ad_prime(delta, n)
         )
