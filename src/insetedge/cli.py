@@ -40,8 +40,14 @@ BOUNDS_MAX_N = 1024
 # largest `bounds --exhaustive-limit`: the scan visits all n^(n-2) labeled
 # trees, about 1 s at n = 8 and 20 s at n = 9
 EXHAUSTIVE_MAX_N = 8
-# largest `bench` size: about 1 s and 46 MiB peak at 32768, 3 s and 76 MiB
-# at 65536
+# largest tree `best` accepts (any strategy): the search walks every pair
+# and scores those its bound cannot skip, worst on the path, which takes
+# about 0.5 s at n = 500, 3.6-3.7 s at 1024 and 22 s at 2000; a random
+# tree of 2000 takes 1.8 s
+BEST_MAX_N = 1024
+# largest `bench` size, and largest path length k of `sweep`: `bench` takes
+# about 1 s and 46 MiB peak at 32768, 3 s and 76 MiB at 65536; `sweep`
+# 1.3-1.5 s and 72 MiB at 32768, printing 49149 records
 BENCH_MAX_SIZE = 32768
 # most `bench --sizes` values: eight sizes of 32768 take about 6 s
 BENCH_MAX_SIZES = 8
@@ -140,6 +146,9 @@ def _cmd_delta(args) -> dict:
 def _cmd_sweep(args) -> dict:
     tree = _load(args.file)
     x, y = args.path_pair
+    k = len(path_between(tree, x, y))
+    if k > BENCH_MAX_SIZE:
+        raise OutOfDomain(f"k={k}: sweep supported for paths of k <= {BENCH_MAX_SIZE} vertices")
     records = sweep_path(tree, x, y)
     return {
         "command": "sweep",
@@ -152,6 +161,8 @@ def _cmd_sweep(args) -> dict:
 
 def _cmd_best(args) -> dict:
     tree = _load(args.file)
+    if tree.n > BEST_MAX_N:
+        raise OutOfDomain(f"n={tree.n}: best supported for n <= {BEST_MAX_N}")
     if args.strategy == "oracle" and tree.n > VERIFY_MAX_N:
         raise OutOfDomain(f"n={tree.n}: best --strategy oracle supported for n <= {VERIFY_MAX_N}")
     report = best_edge(tree, args.strategy)

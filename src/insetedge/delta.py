@@ -25,15 +25,31 @@ and
     odd k:   delta(u, v) = R(h) + R(h + 1),
 
 about k/2 products per pair, where the weight formula sums about k^2/8.
-With s_{D+1} = 0, R(h + 1) is R(h) with each s_{j+h} moved on to
-s_{j+h+1}, so the odd case is one sum too:
-
-    R(h) + R(h + 1) = sum_{j=1}^{D-h} (s_{j+h} + s_{j+h+1}) (n - s_j).
 
 delta_from_sizes reads the factors from depth stacks that a walk down
-the root path writes in place: sizes[j] = s_j, rest[j - 1] = n - s_j and
-both[j] = s_j + s_{j+1}, whose last entry both[D] = s_D.  Each pair is
-then one slice (sizes for even k, both for odd k) zipped with rest.
+the root path writes in place: sizes[j] = s_j and rest[j - 1] = n - s_j.
+Each ramp sum is then one slice of sizes zipped with rest: R(h) starts
+at sizes[h + 1] and R(h + 1) at sizes[h + 2].
+
+The walk also keeps the prefix sums cum[j] = s_1 + ... + s_j (cum[0] =
+0), from which search.best_edge bounds a pair in O(1) before summing
+it.  Along the root path the sizes fall, s_1 >= s_2 >= ... >= s_D, and
+the rests n - s_j rise, so both ramp sums pair a non-increasing run of
+sizes with a non-decreasing run of rests over the same L = D // 2 rests
+(R(h + 1) has L - 1 terms; padding it with s_{D+1} = 0 keeps its sizes
+non-increasing).  Chebyshev's sum inequality, L * sum a_i b_i <= (sum
+a_i)(sum b_i) for oppositely ordered a and b, then gives
+
+    R(h) <= (cum[D] - cum[h]) (L n - cum[L]) / L
+    R(h + 1) <= (cum[D] - cum[h + 1]) (L n - cum[L]) / L,
+
+so delta(u, v) <= top (L n - cum[L]) / L, with top = 2 (cum[D] -
+cum[h]) for even k and (cum[D] - cum[h]) + (cum[D] - cum[h + 1]) for odd
+k.  best_edge skips the exact sum of a pair only when top (L n - cum[L])
+< best * L in integers, i.e. when the pair scores strictly below the best
+so far; a pair that could tie the best is always summed.  The cap is
+exact at L = 1 (D = 2 or 3).
+
 sweep.sweep_path, which evaluates the same ramp sums along a path, is
 where this route's operations are counted: D // 2 terms per ramp sum,
 one sum for even k and two for odd k.
@@ -90,21 +106,16 @@ def delta_term_count(k: int) -> int:
     return k_prime * (k_prime + 1) // 2 if k % 2 else k_prime * (k_prime - 1) // 2
 
 
-def delta_from_sizes(
-    d: int,
-    sizes: Sequence[int],
-    both: Sequence[int],
-    rest: Sequence[int],
-) -> int:
+def delta_from_sizes(d: int, sizes: Sequence[int], rest: Sequence[int]) -> int:
     """Savings of a pair at distance d >= 2 from the depth stacks of its
-    root path: sizes[j] = s_j, rest[j - 1] = n - s_j and both[j] = s_j +
-    s_{j+1} (s_{d+1} = 0), read up to index d (see the module docstring).
-    Entries past d may hold anything.  Each pair is one slice and one
-    C-level sum."""
+    root path: sizes[j] = s_j and rest[j - 1] = n - s_j, read up to index
+    d (see the module docstring).  Entries past d may hold anything.  Each
+    ramp sum is one slice and one C-level sum."""
     h = (d + 1) // 2
+    near = sum(map(mul, sizes[h + 1 : d + 1], rest))
     if d % 2:  # k = d + 1 even
-        return 2 * sum(map(mul, sizes[h + 1 : d + 1], rest))
-    return sum(map(mul, both[h + 1 : d + 1], rest))
+        return 2 * near
+    return near + sum(map(mul, sizes[h + 2 : d + 1], rest))
 
 
 def delta_direct(anatomy: CycleAnatomy) -> int:

@@ -15,12 +15,22 @@ only an ancestor's subtree changes: it is everything outside the root-0
 subtree of its child toward r.  So each root costs one walk over the
 vertices it pairs with, and no rooted pass of its own.
 
-The walk keeps the sizes along the current path in three depth stacks
-(sizes, rest and both, see delta.py), allocated once per walk: a vertex
-at distance d from r writes its entries at index d, and both[d - 1], in
-place over those of the pairs walked before.  best_edge scores a pair
-from the stacks with one slice and one C-level sum; candidate_pairs and
-pruning_ratio walk the same pairs without scoring them.
+The walk keeps the sizes along the current path in three depth stacks,
+allocated once per walk: sizes[j] = s_j, rest[j - 1] = n - s_j and the
+prefix sums cum[j] = s_1 + ... + s_j (cum[0] = 0).  A vertex at distance
+d from r writes its entries at index d (rest at d - 1), in place over
+those of the pairs walked before.  best_edge scores a pair from sizes and
+rest with delta.delta_from_sizes, one or two slices and C-level sums, but
+first bounds it in O(1) from cum.  Along a root path the sizes s_j fall
+and the rests n - s_j rise, so each ramp sum pairs a non-increasing run
+of sizes with a non-decreasing run of rests, and Chebyshev's sum
+inequality caps it at (sum of the sizes) * (sum of the rests) / L for L
+terms (see delta.py).  A pair whose cap is below the best score so far
+cannot win or tie, and its exact sum is skipped; the comparison is in
+integers and strict, so a pair that ties the best is always scored and
+the report is the one the exact sums alone give.  evaluated still counts
+every pair walked.  candidate_pairs, pruning_ratio and the oracle
+strategy walk the same pairs without the bound.
 """
 
 from __future__ import annotations
@@ -62,18 +72,18 @@ def _candidates(
     between u and v in the tree rooted at the endpoint later in the root-0
     preorder, with subtree sizes s_0 = n, s_1, ..., s_d along it.  When
     (u, v, d) is yielded, sizes[j] = s_j for j <= d, rest[j - 1] = n - s_j
-    for 1 <= j <= d, both[j] = s_j + s_{j+1} for 1 <= j < d, and both[d] =
-    s_d.  Entries past those are left from earlier pairs.  The stacks are
-    rewritten in place: read them before asking for the next pair.  With
-    pruned, leaf pairs are dropped by the pruning rule, and the walk from
-    a leaf stops at the largest distance the rule keeps."""
+    for 1 <= j <= d, and cum[j] = s_1 + ... + s_j for j <= d.  Entries
+    past those are left from earlier pairs.  The stacks are rewritten in
+    place: read them before asking for the next pair.  With pruned, leaf
+    pairs are dropped by the pruning rule, and the walk from a leaf stops
+    at the largest distance the rule keeps."""
     n = tree.n
-    sizes, both, rest = [n] * n, [0] * n, [0] * n
-    return _walk(tree, pruned, sizes, both, rest), sizes, both, rest
+    sizes, rest, cum = [n] * n, [0] * n, [0] * n
+    return _walk(tree, pruned, sizes, rest, cum), sizes, rest, cum
 
 
 def _walk(
-    tree: Tree, pruned: bool, sizes: list[int], both: list[int], rest: list[int]
+    tree: Tree, pruned: bool, sizes: list[int], rest: list[int], cum: list[int]
 ) -> Iterator[tuple[int, int, int]]:
     """The pairs of _candidates, writing the stacks it is given."""
     n = tree.n
@@ -107,7 +117,7 @@ def _walk(
         # before c, in preorder; the first run starts past r's parent,
         # which is adjacent to r
         a = parent[r]
-        sizes[1] = rerooted[a]
+        sizes[1] = cum[1] = rerooted[a]
         rest[0] = n - rerooted[a]
         c, u = r, a + 1
         while True:
@@ -118,9 +128,8 @@ def _walk(
                 # the vertex before u on the path was the last one written
                 # at d - 1: u's parent in this run or, for u = a, the child
                 # c of a toward r
-                s = rerooted[u]
-                sizes[d] = both[d] = s
-                both[d - 1] = sizes[d - 1] + s
+                s = sizes[d] = rerooted[u]
+                cum[d] = cum[d - 1] + s
                 rest[d - 1] = n - s
                 if not (pruned and (from_leaf or leaf[u]) and d not in PRUNE_EXCEPTION_DISTANCES):
                     x = order[u]
@@ -156,10 +165,22 @@ def best_edge(tree: Tree, strategy: str = "exhaustive") -> SearchReport:
     best = -1
     best_pairs: list[tuple[int, int]] = []
     evaluated = 0
-    pairs, sizes, both, rest = _candidates(tree, strategy == "pruned")
+    pairs, sizes, rest, cum = _candidates(tree, strategy == "pruned")
     for u, v, d in pairs:
         evaluated += 1
-        score = delta_oracle(tree, u, v) if oracle else delta_from_sizes(d, sizes, both, rest)
+        if oracle:
+            score = delta_oracle(tree, u, v)
+        else:
+            # Chebyshev's cap on the L = d // 2 terms of each ramp sum:
+            # score <= top * (L n - cum[L]) / L, with the one ramp sum of
+            # odd d counted twice (see delta.py); skip only a pair that
+            # cannot reach best
+            half = d // 2
+            h = d - half
+            top = 2 * cum[d] - cum[h] - cum[h + 1 - d % 2]
+            if top * (half * n - cum[half]) < best * half:
+                continue
+            score = delta_from_sizes(d, sizes, rest)
         if score > best:
             best = score
             best_pairs = [(u, v)]

@@ -13,6 +13,7 @@ from insetedge import random_labeled_tree, serialize_tree
 from insetedge.cli import (
     BENCH_MAX_SIZE,
     BENCH_MAX_SIZES,
+    BEST_MAX_N,
     BOUNDS_MAX_N,
     EXHAUSTIVE_MAX_N,
     EXTREMAL_MAX_N,
@@ -129,6 +130,17 @@ class TestBest:
             deltas.add(out["best_delta"])
         assert deltas == {16}
 
+    @pytest.mark.parametrize("strategy", ["exhaustive", "pruned"])
+    def test_over_limit_is_domain_error(self, capsys, monkeypatch, tmp_path, strategy):
+        # the path is the search's worst case; rejected before the search
+        monkeypatch.setattr("insetedge.cli.best_edge", None)
+        f = tmp_path / "long.tree"
+        f.write_text(serialize_tree(path_tree(BEST_MAX_N + 1)))
+        code, out = run(capsys, "best", str(f), "--strategy", strategy)
+        assert code == 1
+        assert out["error"] == "OutOfDomain"
+        assert str(BEST_MAX_N) in out["message"]
+
 
 class TestSweep:
     def test_p7(self, capsys, p7_file):
@@ -144,6 +156,20 @@ class TestSweep:
             (0, 5, 14),
             (1, 4, 12),
         ]
+
+    def test_over_limit_is_domain_error(self, capsys, monkeypatch, tmp_path):
+        # the limit is on the swept path's length k, not on the tree
+        monkeypatch.setattr("insetedge.cli.sweep_path", None)
+        k = BENCH_MAX_SIZE + 1
+        f = tmp_path / "long.tree"
+        f.write_text(serialize_tree(path_tree(k)))
+        code, out = run(capsys, "sweep", str(f), "-p", "0", str(k - 1))
+        assert code == 1
+        assert out["error"] == "OutOfDomain"
+        assert str(BENCH_MAX_SIZE) in out["message"]
+        monkeypatch.undo()
+        code, out = run(capsys, "sweep", str(f), "-p", "0", "2")
+        assert (code, [r["k"] for r in out["records"]]) == (0, [3])
 
 
 class TestBounds:

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -149,13 +150,24 @@ class TestOnePassPerRoot:
 
 def assert_stack_scores_match_direct(t):
     """Score every pair of the walk from the stacks as they stand when it
-    is yielded; return the walk's distances in order."""
-    pairs, sizes, both, rest = _candidates(t, False)
+    is yielded, and check the prefix sums; return the walk's distances in
+    order."""
+    pairs, sizes, rest, cum = _candidates(t, False)
     distances = []
     for u, v, d in pairs:
-        assert delta_from_sizes(d, sizes, both, rest) == delta_direct(anatomize(t, u, v)), (u, v, d)
+        assert delta_from_sizes(d, sizes, rest) == delta_direct(anatomize(t, u, v)), (u, v, d)
+        assert cum[: d + 1] == [0, *accumulate(sizes[1 : d + 1])], (u, v, d)
         distances.append(d)
     return distances
+
+
+def chebyshev_cap(d, n, cum):
+    """The cap best_edge compares with its running best, as a fraction:
+    top * (L n - cum[L]) / L with L = d // 2 (see delta.py)."""
+    half = d // 2
+    h = d - half
+    top = 2 * (cum[d] - cum[h]) if d % 2 else (cum[d] - cum[h]) + (cum[d] - cum[h + 1])
+    return Fraction(top * (half * n - cum[half]), half)
 
 
 def comb_tree(teeth: int, length: int):
@@ -169,22 +181,89 @@ def comb_tree(teeth: int, length: int):
     return Tree.from_edges(n, edges)
 
 
+DEEP_WALK_TREES = pytest.mark.parametrize(
+    "t",
+    [comb_tree(5, 4), comb_tree(3, 7), build_family_tree(16, 8, 2, 8, "star")[0]],
+    ids=["comb-5x4", "comb-3x7", "double-broom"],
+)
+
+
 class TestSavings:
     @given(t=savings_trees())
     @settings(max_examples=60, deadline=None)
     def test_every_pair_matches_direct(self, t):
         assert_stack_scores_match_direct(t)
 
-    @pytest.mark.parametrize(
-        "t",
-        [comb_tree(5, 4), comb_tree(3, 7), build_family_tree(16, 8, 2, 8, "star")[0]],
-        ids=["comb-5x4", "comb-3x7", "double-broom"],
-    )
+    @DEEP_WALK_TREES
     def test_deep_walk_backs_up_to_an_even_distance(self, t):
-        # entries past d are left from deeper pairs: a pair at even d that
-        # follows a deeper one reads both[d], which must be its own s_d
+        # entries of sizes, rest and cum past d are left from deeper
+        # pairs: a pair at even d that follows a deeper one reads sizes up
+        # to d, and cum[d], which must be its own
         distances = assert_stack_scores_match_direct(t)
         assert any(a > b and b % 2 == 0 for a, b in zip(distances, distances[1:]))
+
+
+def assert_cap_bounds_every_pair(t):
+    pairs, sizes, rest, cum = _candidates(t, False)
+    for u, v, d in pairs:
+        assert chebyshev_cap(d, t.n, cum) >= delta_from_sizes(d, sizes, rest), (u, v, d)
+
+
+def watch_scoring(t, strategy):
+    """best_edge's report, the pairs its walk yields in order, and the set
+    of those it scores with delta_from_sizes."""
+    walked, scored = [], set()
+
+    def watched(tree, pruned):
+        pairs, *stacks = _candidates(tree, pruned)
+
+        def watch():
+            for u, v, d in pairs:
+                walked.append((u, v))
+                yield u, v, d
+
+        return watch(), *stacks
+
+    def scoring(d, sizes, rest):
+        scored.add(walked[-1])
+        return delta_from_sizes(d, sizes, rest)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(insetedge.search, "_candidates", watched)
+        mp.setattr(insetedge.search, "delta_from_sizes", scoring)
+        return best_edge(t, strategy), walked, scored
+
+
+class TestChebyshevSkip:
+    @given(t=savings_trees())
+    @settings(max_examples=60, deadline=None)
+    def test_cap_bounds_every_pair(self, t):
+        assert_cap_bounds_every_pair(t)
+
+    @DEEP_WALK_TREES
+    def test_cap_bounds_every_pair_of_deep_walks(self, t):
+        assert_cap_bounds_every_pair(t)
+
+    @pytest.mark.parametrize("strategy", ["exhaustive", "pruned"])
+    @given(t=savings_trees().filter(lambda t: t.n >= 4))
+    @settings(max_examples=60, deadline=None)
+    def test_skips_only_pairs_below_the_running_best(self, strategy, t):
+        # a pair best_edge does not score must score below the best of the
+        # pairs scored before it, so a tie is always scored
+        r, walked, scored = watch_scoring(t, strategy)
+        assert r.evaluated == len(walked)
+        best = -1
+        for u, v in walked:
+            score = delta_direct(anatomize(t, u, v))
+            if (u, v) in scored:
+                best = max(best, score)
+            else:
+                assert score < best, (u, v)
+        assert best == r.best_delta
+
+    def test_skips_most_pairs_of_a_random_tree(self):
+        _, walked, scored = watch_scoring(random_labeled_tree(80, 11), "exhaustive")
+        assert len(scored) < len(walked) // 4
 
 
 class TestRouteMismatch:

@@ -1,5 +1,4 @@
 import random
-from operator import add
 
 import pytest
 from hypothesis import assume, given, settings
@@ -201,12 +200,11 @@ def reference_sweep(tree, x, y, counter=None):
         # the depth stacks of the root path [n, c_{hi-1}, ..., c_lo]
         sizes = [n, *reversed(size[lo:hi])]
         rest = [n - s for s in sizes[1:]]
-        both = [*map(add, sizes, sizes[1:]), sizes[-1]]
         d = hi - lo
         if counter is not None:
             # d // 2 terms per ramp sum: one sum for odd d, two for even d
             counter.add(d // 2 if d % 2 else d)
-        delta = delta_from_sizes(d, sizes, both, rest)
+        delta = delta_from_sizes(d, sizes, rest)
         return DeltaRecord(
             x=path[lo], y=path[hi], k=hi - lo + 1, d_prime=delta, ad_prime=ad_prime(delta, n)
         )
