@@ -26,7 +26,7 @@ w_x w_y exactly, so they equal 1 only at two leaves at distance 2.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
@@ -216,13 +216,11 @@ def exhaustive_scan(n: int) -> ExhaustiveScan:
     # every tree with n >= 4 has a non-adjacent pair, so none keeps the fill
     fill = min_delta = big * n * n
     lower_ok = True
-    tree_count = 0
     total = n ** (n - 2)
 
     for start in range(0, total, _SCAN_BATCH):
         codes = np.arange(start, min(start + _SCAN_BATCH, total)) // powers % n
         b = codes.shape[1]
-        tree_count += b
         lo, hi = prufer_decode_batch(n, codes)
         cols = np.arange(b)
         dist = np.full((n, n, b), big, dtype=np.int8)
@@ -264,7 +262,7 @@ def exhaustive_scan(n: int) -> ExhaustiveScan:
     # the reference decoder lists the first maximizing tree's edges
     return ExhaustiveScan(
         n=n,
-        tree_count=tree_count,
+        tree_count=total,
         max_delta=best,
         argmax_edges=tuple(sorted(prufer_decode(n, best_code))),
         argmax_pair=best_pair,
@@ -304,6 +302,9 @@ def critical_points(n: int) -> dict:
 
 @dataclass
 class BoundsReport:
+    """What audit found, built once when every check has run.  The three
+    empirical fields are None unless the exhaustive scan ran."""
+
     n: int
     claimed_upper: Optional[int]
     family_max: int
@@ -312,10 +313,10 @@ class BoundsReport:
     critical_points: dict
     oracle_confirmed: bool
     argmax_window_ok: bool
-    empirical_max: Optional[int] = None
-    empirical_tree_count: Optional[int] = None
-    lower_bound_ok: Optional[bool] = None
-    discrepancies: list[dict] = field(default_factory=list)
+    empirical_max: Optional[int]
+    empirical_tree_count: Optional[int]
+    lower_bound_ok: Optional[bool]
+    discrepancies: list[dict]
 
     def to_dict(self) -> dict:
         return {
@@ -403,23 +404,8 @@ def audit(n: int, exhaustive_limit: int = 0) -> BoundsReport:
         "family argmax outside the claimed window",
     )
 
-    report = BoundsReport(
-        n=n,
-        claimed_upper=claimed,
-        family_max=family_max,
-        family_argmax=(k_opt, w_x, w_y),
-        case_values=case_values,
-        critical_points=critical_points(n),
-        oracle_confirmed=oracle_confirmed,
-        argmax_window_ok=argmax_window_ok,
-        discrepancies=discrepancies,
-    )
-
-    if n <= exhaustive_limit:
-        scan = exhaustive_scan(n)
-        report.empirical_max = scan.max_delta
-        report.empirical_tree_count = scan.tree_count
-        report.lower_bound_ok = scan.lower_bound_ok
+    scan = exhaustive_scan(n) if n <= exhaustive_limit else None
+    if scan is not None:
         check(
             scan.max_delta == family_max,
             "empirical_max (all labeled trees)", scan.max_delta,
@@ -432,4 +418,18 @@ def audit(n: int, exhaustive_limit: int = 0) -> BoundsReport:
             "claimed lower bound 1 at leaf pairs at distance 2", 1,
             "lower-bound equality condition violated",
         )
-    return report
+
+    return BoundsReport(
+        n=n,
+        claimed_upper=claimed,
+        family_max=family_max,
+        family_argmax=(k_opt, w_x, w_y),
+        case_values=case_values,
+        critical_points=critical_points(n),
+        oracle_confirmed=oracle_confirmed,
+        argmax_window_ok=argmax_window_ok,
+        empirical_max=scan and scan.max_delta,
+        empirical_tree_count=scan and scan.tree_count,
+        lower_bound_ok=scan and scan.lower_bound_ok,
+        discrepancies=discrepancies,
+    )

@@ -123,16 +123,16 @@ def _cmd_wiener(args) -> dict:
 def _cmd_delta(args) -> dict:
     tree = _load(args.file)
     x, y = args.edge
+    if args.method == "oracle" and tree.n > ORACLE_MAX_N:
+        raise OutOfDomain(f"n={tree.n}: delta --method oracle supported for n <= {ORACLE_MAX_N}")
+    # checks the pair as tree_plus_edge does: the same errors, in the same order
+    anatomy = anatomize(tree, x, y)
+    k = anatomy.k
+    if args.method == "direct" and k > EXTREMAL_MAX_N:
+        raise OutOfDomain(f"k={k}: delta --method direct supported for k <= {EXTREMAL_MAX_N}")
     if args.method == "oracle":
-        if tree.n > ORACLE_MAX_N:
-            raise OutOfDomain(f"n={tree.n}: delta --method oracle supported for n <= {ORACLE_MAX_N}")
         d = delta_oracle(tree, x, y)
-        k = len(path_between(tree, x, y))
     else:
-        anatomy = anatomize(tree, x, y)
-        k = anatomy.k
-        if args.method == "direct" and k > EXTREMAL_MAX_N:
-            raise OutOfDomain(f"k={k}: delta --method direct supported for k <= {EXTREMAL_MAX_N}")
         d = delta_via_matrix(anatomy) if args.method == "matrix" else delta_direct(anatomy)
     record = DeltaRecord(x=x, y=y, k=k, d_prime=d, ad_prime=ad_prime(d, tree.n))
     return {
@@ -230,6 +230,7 @@ def _cmd_random(args) -> dict:
         "seed": args.seed,
         "stats": args.stats,
     }
+    corpus = Corpus(n=args.n, seed=args.seed, count=args.count)
     if args.stats == "leaves":
         mean, se = leaf_stats(args.n, args.count, args.seed)
         payload.update(
@@ -241,7 +242,6 @@ def _cmd_random(args) -> dict:
             }
         )
     elif args.stats == "pruning":
-        corpus = Corpus(n=args.n, seed=args.seed, count=args.count)
         ratios = [pruning_ratio(t) for t in corpus.trees()]
         mean = sum(ratios) / len(ratios)
         payload.update(
@@ -252,7 +252,6 @@ def _cmd_random(args) -> dict:
             }
         )
     else:
-        corpus = Corpus(n=args.n, seed=args.seed, count=args.count)
         payload["trees"] = [serialize_tree(t) for t in corpus.trees()]
     return payload
 

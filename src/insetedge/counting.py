@@ -21,9 +21,6 @@ class OpCounter:
     def add(self, n: int) -> None:
         self.ops += n
 
-    def __repr__(self) -> str:
-        return f"OpCounter(ops={self.ops})"
-
 
 def _correlate(c: Sequence[int], e: Sequence[int], count: int) -> list[int]:
     """[sum_t c[i + t] * e[t] for i in range(count)] for non-negative ints,

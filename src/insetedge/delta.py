@@ -63,6 +63,7 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .counting import OpCounter
+from .errors import KTooSmall
 from .tree import CycleAnatomy
 
 
@@ -83,8 +84,10 @@ def delta_from_weights(
     weights_y: Sequence[int],
     counter: Optional[OpCounter] = None,
 ) -> int:
-    """Savings for cycle length k and side weight sequences (1-based math,
-    0-based storage).  Iterates only the i+j <= bound terms."""
+    """Savings for cycle length k >= 3 and side weight sequences (1-based
+    math, 0-based storage).  Iterates only the i+j <= bound terms."""
+    if k < 3:
+        raise KTooSmall(f"k={k}")
     k_prime = k // 2
     bound = k_prime + 1 if k % 2 else k_prime
     coeff = [k + 2 - 2 * s for s in range(bound + 1)]

@@ -1,7 +1,9 @@
 """Brute-force ground truth: all-pairs BFS distance sums.
 
-Everything here is a test fixture, deliberately independent of the
-formula-based modules it validates.  All sums are exact Python integers.
+This is the brute-force reference that `inset verify`, `best --strategy
+oracle`, `delta --method oracle` and the bounds audit check the formulas
+against, so it is kept independent of the formula modules: it reads only
+the graph's adjacency.  All sums are exact Python integers.
 wiener_brute runs the BFS from every source at once, one distance level
 at a time: each vertex holds a bitmask of the vertices within distance t,
 and the sum is read off the masks with int.bit_count.  delta_oracle
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .errors import AdjacentPair, Disconnected, SameVertex
+from .errors import AdjacentPair, Disconnected, IdOutOfRange, SameVertex
 from .tree import Tree
 
 
@@ -35,6 +37,8 @@ class SimpleGraph:
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "SimpleGraph":
         adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise IdOutOfRange(f"edge ({u}, {v}) with n={n}")
             adj[u].append(v)
             adj[v].append(u)
         return cls(n, tuple(tuple(a) for a in adj))

@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import OutOfDomain
-from .tree import Tree
+from .errors import IdOutOfRange, OutOfDomain
+from .tree import Tree, leaves
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -55,9 +55,14 @@ def stream_seed(seed: int, index: int) -> int:
 
 
 def prufer_decode(n: int, code: Sequence[int]) -> list[tuple[int, int]]:
-    """Edges of the labeled tree with the given Prüfer sequence."""
+    """Edges of the labeled tree with the given Prüfer sequence, which
+    must have n - 2 entries, each a vertex 0..n-1."""
+    if len(code) != n - 2:
+        raise OutOfDomain(f"Prüfer code of length {len(code)} for n={n}, need {n - 2}")
     degree = [1] * n
     for v in code:
+        if not 0 <= v < n:
+            raise IdOutOfRange(f"code entry {v} with n={n}")
         degree[v] += 1
     heap = [v for v in range(n) if degree[v] == 1]
     heapq.heapify(heap)
@@ -123,7 +128,7 @@ def leaf_stats(n: int, samples: int, seed: int) -> tuple[float, float]:
     total_sq = 0
     corpus = Corpus(n=n, seed=seed, count=samples)
     for tree in corpus.trees():
-        c = sum(1 for a in tree.adjacency if len(a) == 1)
+        c = len(leaves(tree))
         total += c
         total_sq += c * c
     mean = total / samples

@@ -25,8 +25,9 @@ from .errors import (
 class Tree:
     """Immutable tree: n vertices 0..n-1, n-1 edges, connected.
 
-    Equal and hashed by (n, sorted edges): adjacency follows the order the
-    edges were given in, so it takes no part in either."""
+    Built only by from_edges, which stores each edge as (min, max) and the
+    edges sorted.  Equal and hashed by (n, edges): adjacency follows the
+    order the edges were given in, so it takes no part in either."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
@@ -115,22 +116,17 @@ def parse_tree(text: str) -> Tree:
         rows.append(line)
     if not rows:
         raise MalformedLine("empty document")
-    header = rows[0].split()
-    if len(header) != 1:
-        raise MalformedLine(f"header must be a single integer, got {rows[0]!r}")
+    # a wrong token count fails the unpacking, a non-integer token the int
     try:
-        n = int(header[0])
+        (n,) = map(int, rows[0].split())
     except ValueError:
         raise MalformedLine(f"header must be a single integer, got {rows[0]!r}")
     if n < 1:
         raise MalformedLine(f"vertex count must be positive, got {n}")
     edges = []
     for line in rows[1:]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise MalformedLine(f"expected 'u v', got {line!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = map(int, line.split())
         except ValueError:
             raise MalformedLine(f"expected 'u v', got {line!r}")
         edges.append((u, v))
@@ -140,7 +136,7 @@ def parse_tree(text: str) -> Tree:
 def serialize_tree(tree: Tree) -> str:
     """Emit the canonical edge-list document: LF, header, edges sorted by (min, max)."""
     lines = [str(tree.n)]
-    lines.extend(f"{u} {v}" for u, v in sorted(tree.edges))
+    lines.extend(f"{u} {v}" for u, v in tree.edges)
     return "\n".join(lines) + "\n"
 
 

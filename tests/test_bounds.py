@@ -189,6 +189,11 @@ class TestExhaustiveScan:
         assert scan.tree_count == 6**4
         assert scan.lower_bound_ok
 
+    @pytest.mark.parametrize("n", [3, 10])
+    def test_domain(self, n):
+        with pytest.raises(OutOfDomain):
+            exhaustive_scan(n)
+
     def test_argmax_is_oracle_true(self):
         from insetedge import Tree
 

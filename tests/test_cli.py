@@ -9,7 +9,8 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from insetedge import random_labeled_tree, serialize_tree
+import insetedge.cli
+from insetedge import random_labeled_tree, serialize_tree, tree_plus_edge
 from insetedge.cli import (
     BENCH_MAX_SIZE,
     BENCH_MAX_SIZES,
@@ -24,6 +25,7 @@ from insetedge.cli import (
     VERIFY_MAX_N,
     main,
 )
+from insetedge.errors import InsetEdgeError
 
 from conftest import path_tree
 
@@ -84,6 +86,16 @@ class TestDelta:
         code, out = run(capsys, "delta", p7_file, "-e", "1", "2")
         assert code == 1
         assert out["error"] == "AdjacentPair"
+
+    @pytest.mark.parametrize("method", ("direct", "matrix", "oracle"))
+    @pytest.mark.parametrize("pair", [(2, 2), (7, 7), (0, 9), (9, 0), (2, 3), (3, 2)])
+    def test_pair_errors_match_tree_plus_edge(self, capsys, p7_file, method, pair):
+        # every method checks the pair once, with tree_plus_edge's errors in its order
+        with pytest.raises(InsetEdgeError) as exc:
+            tree_plus_edge(path_tree(7), *pair)
+        code, out = run(capsys, "delta", p7_file, "-e", *map(str, pair), "--method", method)
+        assert code == 1
+        assert out == {"error": type(exc.value).__name__, "message": str(exc.value)}
 
     def test_oracle_id_out_of_range(self, capsys, p7_file):
         code, out = run(capsys, "delta", p7_file, "-e", "0", "9", "--method", "oracle")
@@ -258,6 +270,22 @@ class TestVerify:
         assert code == 0
         assert out["ok"] is True
         assert out["pairs_checked"] == 15
+
+    def test_mismatch(self, capsys, monkeypatch, p7_file):
+        # an oracle off by one on (1, 5), the eighth non-adjacent pair of P7
+        oracle = insetedge.cli.delta_oracle
+        monkeypatch.setattr(
+            insetedge.cli, "delta_oracle", lambda t, x, y: oracle(t, x, y) + ((x, y) == (1, 5))
+        )
+        code, out = run(capsys, "verify", p7_file)
+        assert code == 1
+        assert out == {
+            "command": "verify",
+            "file": p7_file,
+            "ok": False,
+            "mismatch": {"x": 1, "y": 5, "direct": 16, "matrix": 16, "oracle": 17},
+            "pairs_checked": 8,
+        }
 
     def test_over_limit_is_domain_error(self, capsys, tmp_path):
         # rejected when loaded, before the first of its O(n^4) oracle pairs

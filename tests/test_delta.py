@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +14,7 @@ from insetedge import (
     random_labeled_tree,
 )
 from insetedge.delta import delta_term_count
+from insetedge.errors import KTooSmall
 
 from conftest import path_tree
 
@@ -61,6 +63,12 @@ class TestDeltaFromWeights:
         for n in range(4, 12):
             a = anatomize(path_tree(n), 0, n - 1)
             assert delta_from_weights(a.k, a.weights_x, a.weights_y) == delta_direct(a)
+
+    @pytest.mark.parametrize("k", [2, 1, 0, -3])
+    def test_k_too_small(self, k):
+        # k = 2 used to return 0: no cycle closes, as build_F(2) says
+        with pytest.raises(KTooSmall):
+            delta_from_weights(k, [1], [1])
 
     def test_counter_matches_term_count(self):
         for k in range(3, 64):

@@ -62,6 +62,13 @@ class TestWienerBrute:
         c4 = SimpleGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
         assert wiener_brute(c4) == 8
 
+    @pytest.mark.parametrize("edges, bad", [([(0, 1), (1, -1)], (1, -1)), ([(0, 1), (3, 1)], (3, 1))])
+    def test_bad_id(self, edges, bad):
+        # a negative id used to wrap to vertex n - 1, and one >= n raised IndexError
+        with pytest.raises(IdOutOfRange) as exc:
+            SimpleGraph.from_edges(3, edges)
+        assert str(exc.value) == f"edge {bad} with n=3"
+
     def test_disconnected(self):
         # in the second graph the BFS from 0 reaches every vertex but the last
         for n, edges in ((4, [(0, 1), (2, 3)]), (6, [(0, 1), (1, 2), (2, 3), (3, 4)])):

@@ -3,8 +3,8 @@ from collections import Counter
 
 import pytest
 
-from insetedge import Corpus, SplitMix64, leaf_stats, random_labeled_tree
-from insetedge.errors import OutOfDomain
+from insetedge import Corpus, SplitMix64, leaf_stats, leaves, random_labeled_tree
+from insetedge.errors import IdOutOfRange, OutOfDomain
 from insetedge.randgen import exact_leaf_mean, prufer_decode, stream_seed
 
 
@@ -50,6 +50,19 @@ class TestPrufer:
     def test_known_code(self):
         # code (3, 3) on 4 vertices: star centered at 3
         assert sorted(prufer_decode(4, (3, 3))) == [(0, 3), (1, 3), (2, 3)]
+
+    @pytest.mark.parametrize("code, bad", [([-1, 0], -1), ([0, 4], 4), ([9, 9], 9)])
+    def test_bad_entry(self, code, bad):
+        # a negative entry used to wrap to vertex n - 1, and one >= n raised IndexError
+        with pytest.raises(IdOutOfRange) as exc:
+            prufer_decode(4, code)
+        assert str(exc.value) == f"code entry {bad} with n=4"
+
+    @pytest.mark.parametrize("n, code", [(5, [0]), (5, [0, 1, 2, 3]), (4, []), (2, [0])])
+    def test_wrong_length(self, n, code):
+        # a short code used to decode to too few edges
+        with pytest.raises(OutOfDomain):
+            prufer_decode(n, code)
 
 
 class TestRandomLabeledTree:
@@ -113,6 +126,12 @@ class TestLeafStats:
         assert abs(mean - exact_leaf_mean(50)) < 3 * se
         # mean stays within a few percent of the asymptotic value n/e
         assert abs(mean - 50 / math.e) / (50 / math.e) < 0.04
+
+    def test_one_sample(self):
+        # one tree: its own leaf count, and no spread to estimate
+        for n, seed in ((3, 0), (10, 4), (50, 7)):
+            tree = Corpus(n=n, seed=seed, count=1).tree_at(0)
+            assert leaf_stats(n, 1, seed) == (len(leaves(tree)), 0.0)
 
     def test_domain(self):
         with pytest.raises(OutOfDomain):

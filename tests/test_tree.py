@@ -56,6 +56,22 @@ class TestParse:
         with pytest.raises(MalformedLine):
             parse_tree("3\n0 1\n1 2 3\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x\n0 1\n", "header must be a single integer, got 'x'"),
+            ("3 4\n0 1\n", "header must be a single integer, got '3 4'"),
+            ("0\n", "vertex count must be positive, got 0"),
+            ("3\n0 1\n1 a\n", "expected 'u v', got '1 a'"),
+            ("3\n0 1\n1 2 3\n", "expected 'u v', got '1 2 3'"),
+            ("3\n0 1\n2\n", "expected 'u v', got '2'"),
+        ],
+    )
+    def test_malformed_message(self, text, message):
+        with pytest.raises(MalformedLine) as exc:
+            parse_tree(text)
+        assert str(exc.value) == message
+
     def test_empty_document(self):
         with pytest.raises(MalformedLine):
             parse_tree("\n# only comments\n")
