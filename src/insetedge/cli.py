@@ -22,7 +22,7 @@ from .oracle import delta_oracle
 from .randgen import Corpus, exact_leaf_mean, leaf_stats
 from .search import STRATEGIES, best_edge, pruning_ratio
 from .sweep import sweep_path
-from .tree import Tree, anatomize, parse_tree, path_between, serialize_tree, wiener_tree_linear
+from .tree import Tree, _path_sizes, anatomize, parse_tree, serialize_tree, wiener_tree_linear
 
 
 # Work limits, each a domain error past it, measured on a 2-core x86-64
@@ -47,13 +47,13 @@ EXHAUSTIVE_MAX_N = 8
 BEST_MAX_N = 1024
 # largest `bench` size, and largest path length k of `sweep`: `bench` takes
 # about 1 s and 46 MiB peak at 32768, 3 s and 76 MiB at 65536; `sweep`
-# 1.3-1.5 s and 72 MiB at 32768, printing 49149 records
+# 0.9-1.4 s and 72 MiB at 32768, printing 49149 records
 BENCH_MAX_SIZE = 32768
 # most `bench --sizes` values: eight sizes of 32768 take about 6 s
 BENCH_MAX_SIZES = 8
 # largest `extremal --n`, and largest cycle length of `delta --method
-# direct`: the O(k^2) delta_direct takes about 1.5 s at k = n = 16384 and
-# 6.4 s at 32768
+# direct`: the O(k^2) delta_direct takes about 1.6-2.3 s at k = n = 16384
+# and 6.3 s at 32768
 EXTREMAL_MAX_N = 16384
 # largest `random --n`: one tree takes about 0.6 s and 60 MiB at 100000,
 # 10 s and 450 MiB at 10^6
@@ -146,7 +146,8 @@ def _cmd_delta(args) -> dict:
 def _cmd_sweep(args) -> dict:
     tree = _load(args.file)
     x, y = args.path_pair
-    k = len(path_between(tree, x, y))
+    # the O(k) climb of the kept root-0 pass, with sweep_path's pair errors
+    k = len(_path_sizes(tree, x, y)[0])
     if k > BENCH_MAX_SIZE:
         raise OutOfDomain(f"k={k}: sweep supported for paths of k <= {BENCH_MAX_SIZE} vertices")
     records = sweep_path(tree, x, y)

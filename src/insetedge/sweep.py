@@ -27,10 +27,18 @@ counting._correlate takes each as one exact product of two Python ints
 still charged the terms of the ramp sums each record is made of: d // 2
 per ramp sum, one sum for odd d and two for even d.
 Sizes come from the tree's kept root-0 pass.
+
+With the sums taken, building the records is most of a sweep's time.
+Each family's records are built column-wise: map feeds DeltaRecord (a
+NamedTuple) the x column path[lo_0 : lo_0 + count], the y column
+path[hi_0 : hi_0 - count : -1], the k column d_0 + 1, d_0 - 1, ... and
+the savings with their ad_prime fractions, so no per-record Python frame
+or keyword binding is left.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from operator import add
 from typing import Optional
 
@@ -67,14 +75,12 @@ def sweep_path(
         if counter is not None:
             # record i sums d // 2 = count - i terms per ramp
             counter.add(count * (count + 1) // 2 * (1 if d0 % 2 else 2))
-        records += [
-            DeltaRecord(
-                x=path[lo0 + i],
-                y=path[hi0 - i],
-                k=d0 - 2 * i + 1,
-                d_prime=delta,
-                ad_prime=ad_prime(delta, n),
-            )
-            for i, delta in enumerate(deltas)
-        ]
+        records += map(
+            DeltaRecord,
+            path[lo0 : lo0 + count],
+            path[hi0 : hi0 - count : -1],
+            range(d0 + 1, d0 + 1 - 2 * count, -2),
+            deltas,
+            map(ad_prime, deltas, repeat(n)),
+        )
     return records

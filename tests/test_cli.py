@@ -10,6 +10,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import insetedge.cli
+import insetedge.tree
 from insetedge import random_labeled_tree, serialize_tree, tree_plus_edge
 from insetedge.cli import (
     BENCH_MAX_SIZE,
@@ -182,6 +183,43 @@ class TestSweep:
         monkeypatch.undo()
         code, out = run(capsys, "sweep", str(f), "-p", "0", "2")
         assert (code, [r["k"] for r in out["records"]]) == (0, [3])
+
+    def test_limit_check_makes_no_rooted_pass(self, capsys, monkeypatch, tmp_path):
+        # k is read from the kept root-0 pass in O(k): parsing the tree makes
+        # the one rooted pass, and the over-limit pair adds none
+        k = BENCH_MAX_SIZE + 1
+        f = tmp_path / "long.tree"
+        f.write_text(serialize_tree(path_tree(k)))
+        rooted = insetedge.tree._rooted
+        roots = []
+
+        def counting(tree, root):
+            roots.append(root)
+            return rooted(tree, root)
+
+        monkeypatch.setattr("insetedge.tree._rooted", counting)
+        monkeypatch.setattr("insetedge.cli.sweep_path", None)
+        code, out = run(capsys, "sweep", str(f), "-p", str(k - 1), "0")
+        assert (code, out["error"]) == (1, "OutOfDomain")
+        assert out["message"] == f"k={k}: sweep supported for paths of k <= {BENCH_MAX_SIZE} vertices"
+        assert roots == [0]
+
+    @pytest.mark.parametrize(
+        "pair, error, message",
+        [
+            ((2, 2), "SameVertex", "x == y == 2"),
+            ((7, 7), "SameVertex", "x == y == 7"),
+            ((0, 9), "IdOutOfRange", "vertex 9 with n=7"),
+            ((9, 0), "IdOutOfRange", "vertex 9 with n=7"),
+            ((-1, 3), "IdOutOfRange", "vertex -1 with n=7"),
+            ((2, 3), "AdjacentPair", "(2, 3) is an edge of the tree"),
+            ((3, 2), "AdjacentPair", "(3, 2) is an edge of the tree"),
+        ],
+    )
+    def test_pair_errors(self, capsys, p7_file, pair, error, message):
+        code, out = run(capsys, "sweep", p7_file, "-p", *map(str, pair))
+        assert code == 1
+        assert out == {"error": error, "message": message}
 
 
 class TestBounds:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -63,6 +64,23 @@ class TestDeltaFromWeights:
         for n in range(4, 12):
             a = anatomize(path_tree(n), 0, n - 1)
             assert delta_from_weights(a.k, a.weights_x, a.weights_y) == delta_direct(a)
+
+    def test_literal_double_sum(self):
+        # random non-unit weights on both sides, every k from 3 to 120: the
+        # savings is the sum over all side pairs (i, j), 1 <= i, j <= k // 2,
+        # of max(0, 2 (k + 1 - i - j) - k) w_x,i w_y,j
+        rng = random.Random(20)
+        for k in range(3, 121):
+            kp = k // 2
+            wx = [rng.randrange(1, 1000) for _ in range(kp)]
+            wy = [rng.randrange(1, 1000) for _ in range(kp)]
+            expected = sum(
+                max(0, 2 * (k + 1 - i - j) - k) * wx[i - 1] * wy[j - 1]
+                for i in range(1, kp + 1)
+                for j in range(1, kp + 1)
+            )
+            assert delta_from_weights(k, wx, wy) == expected, k
+            assert delta_from_weights(k, tuple(wx), tuple(wy)) == expected, k
 
     @pytest.mark.parametrize("k", [2, 1, 0, -3])
     def test_k_too_small(self, k):

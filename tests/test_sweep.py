@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -214,6 +215,37 @@ def reference_sweep(tree, x, y, counter=None):
         + [record(i + 1, k - 1 - i) for i in range((k - 2) // 2)]
         + [record(i, k - 2 - i) for i in range((k - 2) // 2)]
     )
+
+
+class TestDeltaRecord:
+    """The record type's contract: five named fields in a fixed order,
+    built positionally or by keyword, immutable and hashable."""
+
+    def test_fields(self):
+        assert DeltaRecord._fields == ("x", "y", "k", "d_prime", "ad_prime")
+
+    def test_positional_equals_keyword(self):
+        a = DeltaRecord(1, 5, 5, 16, Fraction(16, 21))
+        b = DeltaRecord(x=1, y=5, k=5, d_prime=16, ad_prime=Fraction(16, 21))
+        assert a == b
+        assert (a.x, a.y, a.k, a.d_prime, a.ad_prime) == (1, 5, 5, 16, Fraction(16, 21))
+
+    def test_immutable_and_hashable(self):
+        r = DeltaRecord(0, 6, 7, 14, ad_prime(14, 7))
+        for name in DeltaRecord._fields:
+            with pytest.raises(AttributeError):
+                setattr(r, name, 0)
+        assert hash(r) == hash(DeltaRecord(0, 6, 7, 14, Fraction(2, 3)))
+        assert len({r, DeltaRecord(0, 6, 7, 14, Fraction(2, 3))}) == 1
+
+    def test_sweep_returns_list_of_records(self):
+        t = random_labeled_tree(60, 20)
+        dist = bfs_distances(t, 0)
+        y = max(range(60), key=lambda v: dist[v])
+        recs = sweep_path(t, 0, y)
+        assert type(recs) is list
+        assert all(type(r) is DeltaRecord for r in recs)
+        assert recs == reference_sweep(t, 0, y)
 
 
 class TestPerRecordReference:
