@@ -14,7 +14,7 @@ from .delta import DeltaRecord, ad_prime, delta_direct, delta_from_weights
 from .matrixform import build_F, delta_via_matrix
 from .oracle import SimpleGraph, delta_oracle, tree_plus_edge, wiener_brute
 from .randgen import Corpus, SplitMix64, leaf_stats, random_labeled_tree
-from .search import SearchReport, best_edge, candidate_pairs, pruning_ratio
+from .search import SearchReport, best_edge, pruning_ratio
 from .sweep import sweep_path
 from .tree import (
     CycleAnatomy,
@@ -23,7 +23,6 @@ from .tree import (
     bfs_distances,
     leaves,
     parse_tree,
-    path_between,
     serialize_tree,
     wiener_tree_linear,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "bfs_distances",
     "build_F",
     "build_family_tree",
-    "candidate_pairs",
     "claimed_case_formula",
     "claimed_upper",
     "delta_direct",
@@ -59,7 +57,6 @@ __all__ = [
     "leaf_stats",
     "leaves",
     "parse_tree",
-    "path_between",
     "pruning_ratio",
     "random_labeled_tree",
     "serialize_tree",

@@ -18,9 +18,18 @@ turns any tree into the family configuration (w_x, 1, ..., 1, w_y) with
 the same k and savings at least as large, and the balanced split argument
 of family_optimum finishes: the maximum over all trees on n vertices at
 cycle length k is the balanced row of _family_table(n), and the maximum
-over all trees is family_optimum(n).  Every term is >= 0 and the end pair
-alone gives w_x w_y (k - 2), so the savings are >= 1; for k = 3 they are
-w_x w_y exactly, so they equal 1 only at two leaves at distance 2.
+over all trees is family_optimum(n).
+
+The path P_n attains that maximum.  Its pair (a, b), a < b, hangs the
+weights (a + 1, 1, ..., 1, n - b), the family configuration of cycle
+length k = b - a + 1, so every row of _family_table(n) is a pair of P_n:
+(w_x - 1, n - w_y) and, for the other order of the split, (w_y - 1,
+n - w_x).  search.best_edge on P_n therefore reports family_optimum(n),
+with the pairs of the maximizing rows as its ties.
+
+Every term is >= 0 and the end pair alone gives w_x w_y (k - 2), so the
+savings are >= 1; for k = 3 they are w_x w_y exactly, so they equal 1
+only at two leaves at distance 2.
 """
 
 from __future__ import annotations

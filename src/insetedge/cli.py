@@ -41,9 +41,10 @@ BOUNDS_MAX_N = 1024
 # trees, about 1 s at n = 8 and 20 s at n = 9
 EXHAUSTIVE_MAX_N = 8
 # largest tree `best` accepts (any strategy): the search walks every pair
-# and scores those its bound cannot skip, worst on the path, which takes
-# about 0.5 s at n = 500, 3.6-3.7 s at 1024 and 22 s at 2000; a random
-# tree of 2000 takes 1.8 s
+# and scores those its bound cannot skip, worst on the path, where
+# best_edge takes about 0.4 s at n = 500, 2.9-3.2 s at 1024 and 18-19 s
+# at 2000 (`best` 0.6 s and 2.7-3.2 s at 500 and 1024); a random tree of
+# 2000 takes 0.7-0.8 s
 BEST_MAX_N = 1024
 # largest `bench` size, and largest path length k of `sweep`: `bench` takes
 # about 1 s and 46 MiB peak at 32768, 3 s and 76 MiB at 65536; `sweep`
@@ -59,10 +60,10 @@ EXTREMAL_MAX_N = 16384
 # 10 s and 450 MiB at 10^6
 RANDOM_MAX_N = 100000
 # largest `random` n * count: about 1.1 s for 10000 trees of 50, 3.3 s for
-# 5 trees of 100000, 3.4 s for `--stats pruning` on 125000 trees of 4
+# 5 trees of 100000, 2.9-3.1 s for `--stats pruning` on 125000 trees of 4
 RANDOM_MAX_VERTICES = 500000
 # largest n^2 * count for `random --stats pruning`, which walks O(n^2)
-# pairs per tree: 0.8 s at n = 3162, count 1 and 0.9 s at n = 1000, count 10
+# pairs per tree: 0.9-1.0 s at n = 3162, count 1 and at n = 1000, count 10
 PRUNING_MAX_PAIRS = 10**7
 
 

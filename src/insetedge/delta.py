@@ -32,7 +32,7 @@ Each ramp sum is then one slice of sizes zipped with rest: R(h) starts
 at sizes[h + 1] and R(h + 1) at sizes[h + 2].
 
 The walk also keeps the prefix sums cum[j] = s_1 + ... + s_j (cum[0] =
-0), from which search.best_edge bounds a pair in O(1) before summing
+0), from which it bounds a pair in O(1) before search.best_edge sums
 it.  Along the root path the sizes fall, s_1 >= s_2 >= ... >= s_D, and
 the rests n - s_j rise, so both ramp sums pair a non-increasing run of
 sizes with a non-decreasing run of rests over the same L = D // 2 rests
@@ -45,9 +45,11 @@ a_i)(sum b_i) for oppositely ordered a and b, then gives
 
 so delta(u, v) <= top (L n - cum[L]) / L, with top = 2 (cum[D] -
 cum[h]) for even k and (cum[D] - cum[h]) + (cum[D] - cum[h + 1]) for odd
-k.  best_edge skips the exact sum of a pair only when top (L n - cum[L])
-< best * L in integers, i.e. when the pair scores strictly below the best
-so far; a pair that could tie the best is always summed.  The cap is
+k.  The walk in search.py applies this cap straight after it writes
+cum[D], against the best score best_edge has found so far: it skips a
+pair, which then never reaches the exact sum, only when top (L n -
+cum[L]) < best * L in integers, i.e. when the pair scores strictly below
+that best; a pair that could tie the best is always summed.  The cap is
 exact at L = 1 (D = 2 or 3).
 
 sweep.sweep_path, which evaluates the same ramp sums along a path, is

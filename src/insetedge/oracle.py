@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
 
-from .errors import AdjacentPair, Disconnected, IdOutOfRange, SameVertex
+from .errors import AdjacentPair, Disconnected, SameVertex
 from .tree import Tree
 
 
@@ -32,16 +31,6 @@ class SimpleGraph:
     @classmethod
     def from_tree(cls, tree: Tree) -> "SimpleGraph":
         return cls(tree.n, tree.adjacency)
-
-    @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "SimpleGraph":
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise IdOutOfRange(f"edge ({u}, {v}) with n={n}")
-            adj[u].append(v)
-            adj[v].append(u)
-        return cls(n, tuple(tuple(a) for a in adj))
 
 
 def tree_plus_edge(tree: Tree, x: int, y: int) -> SimpleGraph:

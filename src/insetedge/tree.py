@@ -184,17 +184,6 @@ def _check_pair(tree: Tree, x: int, y: int) -> None:
     tree.check_ids(x, y)
 
 
-def path_between(tree: Tree, x: int, y: int) -> list[int]:
-    """The unique simple path from x to y, inclusive."""
-    _check_pair(tree, x, y)
-    parent = _rooted(tree, y)[0]
-    path = [x]
-    while x != y:
-        x = parent[x]
-        path.append(x)
-    return path
-
-
 def _path_sizes(tree: Tree, x: int, y: int) -> tuple[list[int], list[int]]:
     """The path x = v_0, ..., v_{k-1} = y and, with the tree rooted at y,
     the subtree size of each v_i (the last is n).  O(k): x and y climb the

@@ -1,8 +1,49 @@
-"""Shared fixtures: small named trees used throughout the suite."""
+"""Shared fixtures: small named trees used throughout the suite, and the
+reference helpers only tests use."""
+
+from typing import Iterable
 
 import pytest
 
-from insetedge import Tree
+from insetedge import SimpleGraph, Tree
+from insetedge.errors import IdOutOfRange, SameVertex
+from insetedge.search import STRATEGIES, _candidates
+from insetedge.tree import _rooted
+
+
+def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> SimpleGraph:
+    """A SimpleGraph from an edge list, which may close cycles; an id
+    outside 0..n-1 raises IdOutOfRange."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise IdOutOfRange(f"edge ({u}, {v}) with n={n}")
+        adj[u].append(v)
+        adj[v].append(u)
+    return SimpleGraph(n, tuple(tuple(a) for a in adj))
+
+
+def path_between(tree: Tree, x: int, y: int) -> list[int]:
+    """The unique simple path from x to y, inclusive, from a pass of its
+    own: the tree rooted at y, climbed by parent pointers from x."""
+    if x == y:
+        raise SameVertex(f"x == y == {x}")
+    tree.check_ids(x, y)
+    parent = _rooted(tree, y)[0]
+    path = [x]
+    while x != y:
+        x = parent[x]
+        path.append(x)
+    return path
+
+
+def candidate_pairs(tree: Tree, strategy: str = "exhaustive") -> list[tuple[int, int]]:
+    """Every pair (u, v), u < v, the search walks: all non-adjacent pairs,
+    or the leaf-pruned subset, each once.  A floor of -1 yields them all."""
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    pairs, _, _, _ = _candidates(tree, strategy == "pruned", [-1, 0])
+    return [(u, v) for u, v, _ in pairs]
 
 
 def path_tree(n: int) -> Tree:

@@ -16,7 +16,7 @@ from insetedge import (
 )
 from insetedge.errors import AdjacentPair, Disconnected, IdOutOfRange, SameVertex
 
-from conftest import path_tree, star_tree
+from conftest import graph_from_edges, path_tree, star_tree
 
 
 def floyd_warshall_sum(graph):
@@ -48,7 +48,7 @@ def connected_graphs(draw):
     for u, v in draw(st.lists(pairs, min_size=2, max_size=3 * n)):
         if u != v:
             edges.add((min(u, v), max(u, v)))
-    return SimpleGraph.from_edges(n, sorted(edges))
+    return graph_from_edges(n, sorted(edges))
 
 
 class TestWienerBrute:
@@ -59,21 +59,21 @@ class TestWienerBrute:
         assert wiener_brute(SimpleGraph.from_tree(star_tree(5))) == 16
 
     def test_c4(self):
-        c4 = SimpleGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        c4 = graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
         assert wiener_brute(c4) == 8
 
     @pytest.mark.parametrize("edges, bad", [([(0, 1), (1, -1)], (1, -1)), ([(0, 1), (3, 1)], (3, 1))])
     def test_bad_id(self, edges, bad):
         # a negative id used to wrap to vertex n - 1, and one >= n raised IndexError
         with pytest.raises(IdOutOfRange) as exc:
-            SimpleGraph.from_edges(3, edges)
+            graph_from_edges(3, edges)
         assert str(exc.value) == f"edge {bad} with n=3"
 
     def test_disconnected(self):
         # in the second graph the BFS from 0 reaches every vertex but the last
         for n, edges in ((4, [(0, 1), (2, 3)]), (6, [(0, 1), (1, 2), (2, 3), (3, 4)])):
             with pytest.raises(Disconnected):
-                wiener_brute(SimpleGraph.from_edges(n, edges))
+                wiener_brute(graph_from_edges(n, edges))
 
     @pytest.mark.parametrize("n, seed", [(5, 0), (8, 1), (10, 2), (12, 3)])
     def test_tree_plus_edge_matches_floyd_warshall(self, n, seed):
@@ -88,13 +88,13 @@ class TestWienerBrute:
         assert wiener_brute(graph) == floyd_warshall_sum(graph)
 
     def test_one_vertex(self):
-        assert wiener_brute(SimpleGraph.from_edges(1, [])) == 0
+        assert wiener_brute(graph_from_edges(1, [])) == 0
 
     def test_path_minus_any_edge_is_disconnected(self):
         for n in range(2, 10):
             edges = [(i, i + 1) for i in range(n - 1)]
             for cut in range(n - 1):
-                graph = SimpleGraph.from_edges(n, edges[:cut] + edges[cut + 1 :])
+                graph = graph_from_edges(n, edges[:cut] + edges[cut + 1 :])
                 with pytest.raises(Disconnected, match="unreachable from 0$"):
                     wiener_brute(graph)
 

@@ -14,19 +14,20 @@ from insetedge import (
     best_edge,
     bfs_distances,
     build_family_tree,
-    candidate_pairs,
     delta_direct,
+    family_optimum,
     leaves,
     pruning_ratio,
     random_labeled_tree,
     serialize_tree,
 )
+from insetedge.bounds import _family_table
 from insetedge.cli import main
 from insetedge.errors import NoCandidates, RouteMismatch
 from insetedge.delta import delta_from_sizes
 from insetedge.search import _candidates
 
-from conftest import path_tree, star_tree
+from conftest import candidate_pairs, path_tree, star_tree
 
 
 class TestCandidatePairs:
@@ -151,8 +152,8 @@ class TestOnePassPerRoot:
 def assert_stack_scores_match_direct(t):
     """Score every pair of the walk from the stacks as they stand when it
     is yielded, and check the prefix sums; return the walk's distances in
-    order."""
-    pairs, sizes, rest, cum = _candidates(t, False)
+    order.  With a floor of -1 the walk yields every pair it walks."""
+    pairs, sizes, rest, cum = _candidates(t, False, [-1, 0])
     distances = []
     for u, v, d in pairs:
         assert delta_from_sizes(d, sizes, rest) == delta_direct(anatomize(t, u, v)), (u, v, d)
@@ -162,7 +163,7 @@ def assert_stack_scores_match_direct(t):
 
 
 def chebyshev_cap(d, n, cum):
-    """The cap best_edge compares with its running best, as a fraction:
+    """The cap the walk compares with its running best, as a fraction:
     top * (L n - cum[L]) / L with L = d // 2 (see delta.py)."""
     half = d // 2
     h = d - half
@@ -204,34 +205,34 @@ class TestSavings:
 
 
 def assert_cap_bounds_every_pair(t):
-    pairs, sizes, rest, cum = _candidates(t, False)
+    pairs, sizes, rest, cum = _candidates(t, False, [-1, 0])
     for u, v, d in pairs:
         assert chebyshev_cap(d, t.n, cum) >= delta_from_sizes(d, sizes, rest), (u, v, d)
 
 
-def watch_scoring(t, strategy):
-    """best_edge's report, the pairs its walk yields in order, and the set
-    of those it scores with delta_from_sizes."""
-    walked, scored = [], set()
+def watch_search(t, strategy):
+    """best_edge's report, every pair its walk walks in order (the same
+    walk with a floor of -1, which yields them all), and the set of pairs
+    the walk yields to best_edge."""
+    floor = [-1, 0]
+    pairs, _, _, _ = _candidates(t, strategy == "pruned", floor)
+    walked = [(u, v) for u, v, _ in pairs]
+    assert floor[1] == len(walked)
+    yielded = set()
 
-    def watched(tree, pruned):
-        pairs, *stacks = _candidates(tree, pruned)
+    def watched(tree, pruned, floor):
+        pairs, *stacks = _candidates(tree, pruned, floor)
 
         def watch():
             for u, v, d in pairs:
-                walked.append((u, v))
+                yielded.add((u, v))
                 yield u, v, d
 
         return watch(), *stacks
 
-    def scoring(d, sizes, rest):
-        scored.add(walked[-1])
-        return delta_from_sizes(d, sizes, rest)
-
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(insetedge.search, "_candidates", watched)
-        mp.setattr(insetedge.search, "delta_from_sizes", scoring)
-        return best_edge(t, strategy), walked, scored
+        return best_edge(t, strategy), walked, yielded
 
 
 class TestChebyshevSkip:
@@ -248,22 +249,119 @@ class TestChebyshevSkip:
     @given(t=savings_trees().filter(lambda t: t.n >= 4))
     @settings(max_examples=60, deadline=None)
     def test_skips_only_pairs_below_the_running_best(self, strategy, t):
-        # a pair best_edge does not score must score below the best of the
-        # pairs scored before it, so a tie is always scored
-        r, walked, scored = watch_scoring(t, strategy)
+        # a pair the walk does not yield must score below the best of the
+        # pairs yielded before it, so a tie is always scored; evaluated
+        # counts the pairs walked, yielded or not
+        r, walked, yielded = watch_search(t, strategy)
         assert r.evaluated == len(walked)
         best = -1
         for u, v in walked:
             score = delta_direct(anatomize(t, u, v))
-            if (u, v) in scored:
+            if (u, v) in yielded:
                 best = max(best, score)
             else:
                 assert score < best, (u, v)
         assert best == r.best_delta
 
     def test_skips_most_pairs_of_a_random_tree(self):
-        _, walked, scored = watch_scoring(random_labeled_tree(80, 11), "exhaustive")
-        assert len(scored) < len(walked) // 4
+        r, walked, yielded = watch_search(random_labeled_tree(80, 11), "exhaustive")
+        assert r.evaluated == len(walked)
+        assert len(yielded) < len(walked) // 4
+
+    @pytest.mark.parametrize("strategy", ["exhaustive", "pruned"])
+    def test_walk_yields_fewer_than_a_quarter_of_its_pairs(self, strategy):
+        # the walk applies the cap itself, re-reading the floor after each
+        # yield, so most pairs never leave it
+        floor = [-1, 0]
+        pairs, sizes, rest, _ = _candidates(random_labeled_tree(80, 11), strategy == "pruned", floor)
+        yielded = 0
+        for _, _, d in pairs:
+            yielded += 1
+            floor[0] = max(floor[0], delta_from_sizes(d, sizes, rest))
+        assert 0 < yielded < floor[1] // 4
+
+
+class TestOracleStrategy:
+    @pytest.mark.parametrize(
+        "t", [random_labeled_tree(24, 3), path_tree(20), star_tree(12)], ids=["random", "path", "star"]
+    )
+    def test_scores_every_walked_pair(self, monkeypatch, t):
+        # the cap never reaches the oracle: its walk yields every pair
+        calls = []
+        oracle = insetedge.search.delta_oracle
+
+        def counting(tree, u, v):
+            calls.append((u, v))
+            return oracle(tree, u, v)
+
+        monkeypatch.setattr(insetedge.search, "delta_oracle", counting)
+        r = best_edge(t, "oracle")
+        assert len(calls) == len(set(calls)) == r.evaluated == len(candidate_pairs(t))
+        exhaustive = best_edge(t)
+        assert (r.best_pairs, r.best_delta) == (exhaustive.best_pairs, exhaustive.best_delta)
+
+
+def maximizing_rows(n):
+    """The rows (k, w_x, w_y) of _family_table(n) whose savings are the
+    maximum over all trees on n vertices."""
+    best = family_optimum(n)[3]
+    return [(k, w_x, w_y) for k, w_x, w_y, delta in _family_table(n) if delta == best]
+
+
+def kept_by_rule(t, pairs):
+    """The pairs the pruning rule keeps: it drops a leaf pair at a distance
+    outside {2, 3, 4, 6}."""
+    leaf = leaves(t)
+    return [(u, v) for u, v in pairs if not leaf & {u, v} or bfs_distances(t, u)[v] in (2, 3, 4, 6)]
+
+
+def family_pairs(t, rows):
+    """Every pair of t whose cycle carries the family configuration of one
+    of rows: hanging weights (w, 1, ..., 1, w') with {w, w'} = {w_x, w_y}."""
+    pairs = []
+    for x, y in candidate_pairs(t):
+        a = anatomize(t, x, y)
+        middle = () if a.middle is None else (a.weight_middle,)
+        w = a.weights_x + middle + a.weights_y[::-1]
+        ends = (a.k, min(w[0], w[-1]), max(w[0], w[-1]))
+        if ends in rows and all(c == 1 for c in w[1:-1]):
+            pairs.append((x, y))
+    return pairs
+
+
+class TestPathIsExtremal:
+    # the pair (a, b), a < b, of P_n hangs weights (a + 1, 1, ..., 1, n - b),
+    # the family configuration of k = b - a + 1, so P_n attains the maximum
+    # over all trees, and its ties are the pairs (w_x - 1, n - w_y) of the
+    # maximizing rows, in both orders of the split
+    @pytest.mark.parametrize("strategy", ["exhaustive", "pruned"])
+    @pytest.mark.parametrize("n", [*range(5, 65), 80, 127, 200, 256, 300, 512])
+    def test_best_is_the_family_optimum(self, strategy, n):
+        rows = maximizing_rows(n)
+        ties = sorted({p for _, w_x, w_y in rows for p in ((w_x - 1, n - w_y), (w_y - 1, n - w_x))})
+        t = path_tree(n)
+        if strategy == "pruned":
+            ties = kept_by_rule(t, ties)
+        r = best_edge(t, strategy)
+        assert r.best_delta == family_optimum(n)[3]
+        assert list(r.best_pairs) == ties
+
+    @pytest.mark.parametrize(
+        "n, ties", [(10, ((1, 7), (2, 8))), (50, ((9, 39), (10, 40))), (300, ((61, 237), (62, 238)))]
+    )
+    def test_known_ties(self, n, ties):
+        assert best_edge(path_tree(n)).best_pairs == ties
+
+    @pytest.mark.parametrize("n", range(5, 65))
+    def test_star_family_tree_at_the_optimum(self, n):
+        k, w_x, w_y, best = family_optimum(n)
+        t, ends = build_family_tree(n, k, w_x, w_y, "star")
+        ties = family_pairs(t, maximizing_rows(n))
+        assert ends in ties
+        for strategy, expected in (("exhaustive", ties), ("pruned", kept_by_rule(t, ties))):
+            r = best_edge(t, strategy)
+            assert r.best_delta == best
+            assert list(r.best_pairs) == expected
 
 
 class TestRouteMismatch:

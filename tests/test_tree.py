@@ -11,7 +11,6 @@ from insetedge import (
     bfs_distances,
     leaves,
     parse_tree,
-    path_between,
     random_labeled_tree,
     serialize_tree,
     sweep_path,
@@ -26,7 +25,7 @@ from insetedge.errors import (
     SameVertex,
 )
 
-from conftest import path_tree, star_tree
+from conftest import path_between, path_tree, star_tree
 
 
 class TestParse:
