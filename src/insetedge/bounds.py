@@ -30,12 +30,22 @@ with the pairs of the maximizing rows as its ties.
 Every term is >= 0 and the end pair alone gives w_x w_y (k - 2), so the
 savings are >= 1; for k = 3 they are w_x w_y exactly, so they equal 1
 only at two leaves at distance 2.
+
+The claimed bound n^3/16 has the wrong leading constant.  With m = n -
+k + 2, the balanced row at k is about k n (n - k) / 4 + k^3 / 24, which
+peaks at k = (2 - sqrt 2) n with value ((sqrt 2 - 1) / 6) n^3, about
+0.0690 n^3.  So the exact maximum grows as ((sqrt 2 - 1) / 6) n^3, and
+claimed_upper falls ever further below it: 16,186 against 17,267 at n =
+64, 1,046,242 against 1,144,719 at n = 256.  The smallest maximizing k
+lies in K_0 .. K_0 + 2 with K_0 = 2n - isqrt(2 n^2), not in the claimed
+window ceil(n/2) + 1 .. ceil(n/2) + 4; that was checked numerically for
+5 <= n <= 3000 and is not proven.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
@@ -326,21 +336,6 @@ class BoundsReport:
     empirical_tree_count: Optional[int]
     lower_bound_ok: Optional[bool]
     discrepancies: list[dict]
-
-    def to_dict(self) -> dict:
-        return {
-            **asdict(self),
-            "family_argmax": dict(zip(("k", "w_x", "w_y"), self.family_argmax)),
-            "case_values": {str(k): v for k, v in sorted(self.case_values.items())},
-            "critical_points": {
-                case: (
-                    {name: f"{v.numerator}/{v.denominator}" for name, v in vals.items()}
-                    if isinstance(vals, dict)
-                    else vals
-                )
-                for case, vals in self.critical_points.items()
-            },
-        }
 
 
 def audit(n: int, exhaustive_limit: int = 0) -> BoundsReport:

@@ -1,8 +1,10 @@
 """Command-line surface: JSON on stdout, diagnostics on stderr.
 
 Exit codes: 0 success, 1 domain error (error name in the payload), 2 usage
-error.  Exact rationals are emitted as "p/q" strings with a decimal
-convenience field.  Output is deterministic for fixed inputs and seeds.
+error.  Exact rationals are emitted as "p/q" strings (_frac) with a
+decimal convenience field; library results carry exact savings, and the
+average-distance fields are derived here with delta.ad_prime.  Output is
+deterministic for fixed inputs and seeds.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from .bounds import audit, build_family_tree
@@ -47,10 +50,10 @@ EXHAUSTIVE_MAX_N = 8
 # 2000 takes 0.7-0.8 s
 BEST_MAX_N = 1024
 # largest `bench` size, and largest path length k of `sweep`: `bench` takes
-# about 1 s and 46 MiB peak at 32768, 3 s and 76 MiB at 65536; `sweep`
-# 0.9-1.4 s and 72 MiB at 32768, printing 49149 records
+# 0.6-1.0 s and 38 MiB peak at 32768, 2.0-2.4 s and 61 MiB at 65536;
+# `sweep` 1.0-1.5 s and 66 MiB at 32768, printing 49149 records
 BENCH_MAX_SIZE = 32768
-# most `bench --sizes` values: eight sizes of 32768 take about 6 s
+# most `bench --sizes` values: eight sizes of 32768 take about 5 s
 BENCH_MAX_SIZES = 8
 # largest `extremal --n`, and largest cycle length of `delta --method
 # direct`: the O(k^2) delta_direct takes about 1.6-2.3 s at k = n = 16384
@@ -95,22 +98,23 @@ def _load(path: str) -> Tree:
     return parse_tree(text)
 
 
-def _record_payload(rec: DeltaRecord) -> dict:
+def _record_payload(rec: DeltaRecord, n: int) -> dict:
+    ad = ad_prime(rec.d_prime, n)
     return {
         "x": rec.x,
         "y": rec.y,
         "k": rec.k,
         "d_prime": rec.d_prime,
-        "ad_prime": _frac(rec.ad_prime),
-        "ad_prime_decimal": float(rec.ad_prime),
+        "ad_prime": _frac(ad),
+        "ad_prime_decimal": float(ad),
     }
 
 
 def _cmd_wiener(args) -> dict:
     tree = _load(args.file)
     d = wiener_tree_linear(tree)
-    pairs = tree.n * (tree.n - 1) // 2
-    ad = Fraction(d, pairs) if pairs else Fraction(0)
+    # a 1-vertex tree has no pair to average over
+    ad = ad_prime(d, tree.n) if tree.n > 1 else Fraction(0)
     return {
         "command": "wiener",
         "file": args.file,
@@ -135,12 +139,11 @@ def _cmd_delta(args) -> dict:
         d = delta_oracle(tree, x, y)
     else:
         d = delta_via_matrix(anatomy) if args.method == "matrix" else delta_direct(anatomy)
-    record = DeltaRecord(x=x, y=y, k=k, d_prime=d, ad_prime=ad_prime(d, tree.n))
     return {
         "command": "delta",
         "file": args.file,
         "method": args.method,
-        **_record_payload(record),
+        **_record_payload(DeltaRecord(x, y, k, d), tree.n),
     }
 
 
@@ -157,7 +160,7 @@ def _cmd_sweep(args) -> dict:
         "file": args.file,
         "x": x,
         "y": y,
-        "records": [_record_payload(r) for r in records],
+        "records": [_record_payload(r, tree.n) for r in records],
     }
 
 
@@ -168,14 +171,15 @@ def _cmd_best(args) -> dict:
     if args.strategy == "oracle" and tree.n > VERIFY_MAX_N:
         raise OutOfDomain(f"n={tree.n}: best --strategy oracle supported for n <= {VERIFY_MAX_N}")
     report = best_edge(tree, args.strategy)
+    ad = ad_prime(report.best_delta, tree.n)
     return {
         "command": "best",
         "file": args.file,
         "strategy": report.strategy,
         "best_pairs": [list(p) for p in report.best_pairs],
         "best_delta": report.best_delta,
-        "best_ad_prime": _frac(report.best_ad_prime),
-        "best_ad_prime_decimal": float(report.best_ad_prime),
+        "best_ad_prime": _frac(ad),
+        "best_ad_prime_decimal": float(ad),
         "evaluated": report.evaluated,
         "pruned": report.pruned,
     }
@@ -189,9 +193,16 @@ def _cmd_bounds(args) -> dict:
             f"exhaustive limit {args.exhaustive_limit}: supported up to {EXHAUSTIVE_MAX_N}"
         )
     report = audit(args.n, args.exhaustive_limit)
-    payload = report.to_dict()
-    payload["command"] = "bounds"
-    return payload
+    return {
+        **asdict(report),
+        "family_argmax": dict(zip(("k", "w_x", "w_y"), report.family_argmax)),
+        "case_values": {str(k): v for k, v in sorted(report.case_values.items())},
+        "critical_points": {
+            case: {name: _frac(v) for name, v in vals.items()} if isinstance(vals, dict) else vals
+            for case, vals in report.critical_points.items()
+        },
+        "command": "bounds",
+    }
 
 
 def _cmd_extremal(args) -> dict:

@@ -57,10 +57,12 @@ where this route's operations are counted: D // 2 terms per ramp sum,
 one sum for even k and two for odd k.
 
 A scored edge is a DeltaRecord, a typing.NamedTuple of (x, y, k,
-d_prime, ad_prime): immutable, hashable and built positionally or by
-keyword.  A tuple subclass takes a few hundred nanoseconds to build where
-a frozen dataclass's __init__ takes over a microsecond, and sweep_path
-builds one per record, column-wise with map.
+d_prime): immutable, hashable and built positionally or by keyword.  A
+tuple subclass takes a few hundred nanoseconds to build where a frozen
+dataclass's __init__ takes over a microsecond, and sweep_path builds one
+per record, column-wise with map.  A record holds the exact savings only:
+its average-distance form ad_prime(d_prime, n) is that integer over the
+constant C(n, 2), so the CLI builds it when it prints.
 """
 
 from __future__ import annotations
@@ -75,13 +77,12 @@ from .tree import CycleAnatomy
 
 
 class DeltaRecord(NamedTuple):
-    """One scored shortcut edge: savings and its average-distance form."""
+    """One scored shortcut edge: its endpoints, cycle length and savings."""
 
     x: int
     y: int
     k: int
     d_prime: int
-    ad_prime: Fraction
 
 
 def delta_from_weights(

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -277,12 +278,27 @@ class TestAudit:
         assert report.argmax_window_ok
         assert [d["quantity_a"] for d in report.discrepancies] == ["case_formula(n=5, k=3)"]
 
-    def test_to_dict_serializes(self):
-        import json
-
-        payload = audit(16).to_dict()
-        json.dumps(payload)  # must be JSON-clean
-        assert payload["family_argmax"] == {"k": 11, "w_x": 3, "w_y": 4}
+    @pytest.mark.parametrize(
+        "n, claimed, family_max, k, k0",
+        [
+            (64, 16186, 17267, 39, 38),
+            (128, 130418, 141414, 76, 75),
+            (256, 1046242, 1144719, 151, 150),
+        ],
+    )
+    def test_claimed_bound_falls_behind(self, n, claimed, family_max, k, k0):
+        # the exact maximum grows as ((sqrt 2 - 1) / 6) n^3, above the
+        # claimed n^3 / 16, and its argmax k sits just above K_0 = 2n -
+        # isqrt(2 n^2), about (2 - sqrt 2) n, far from the claimed window
+        # near n / 2
+        report = audit(n)
+        assert report.claimed_upper == claimed
+        assert report.family_max == family_max
+        assert report.family_argmax[0] == k
+        assert 2 * n - math.isqrt(2 * n * n) == k0
+        assert k0 <= k <= k0 + 2
+        assert not report.argmax_window_ok
+        assert family_max > n**3 / 16
 
 
 # Run in a fresh interpreter: this test session already has numpy loaded.

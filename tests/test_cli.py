@@ -28,7 +28,7 @@ from insetedge.cli import (
 )
 from insetedge.errors import InsetEdgeError
 
-from conftest import path_tree
+from conftest import path_tree, spider_tree
 
 
 @pytest.fixture
@@ -568,3 +568,179 @@ class TestFuzz:
             text = out.getvalue()
             assert text.endswith("\n") and text.count("\n") == 1
             assert isinstance(json.loads(text), dict)
+
+
+# The exact stdout of commands that print every average-distance and "p/q"
+# field: AD, ad_prime, ad_prime_decimal, best_ad_prime, critical_points,
+# family_argmax and case_values.  The library results carry only the exact
+# savings, so cli.py derives each of these fields, and these strings pin
+# its bytes.  File names are relative, so "file" reads the same everywhere.
+GOLDEN = [
+    (
+        ["wiener", "p7.tree"],
+        '{"command": "wiener", "file": "p7.tree", "n": 7, "D": 56, "AD": "8/3", '
+        '"AD_decimal": 2.6666666666666665}\n'
+    ),
+    (
+        ["wiener", "spider.tree"],
+        '{"command": "wiener", "file": "spider.tree", "n": 5, "D": 20, "AD": "2/1", '
+        '"AD_decimal": 2.0}\n'
+    ),
+    (
+        ["wiener", "one.tree"],
+        '{"command": "wiener", "file": "one.tree", "n": 1, "D": 0, "AD": "0/1", '
+        '"AD_decimal": 0.0}\n'
+    ),
+    (
+        ["delta", "p7.tree", "-e", "1", "5", "--method", "direct"],
+        '{"command": "delta", "file": "p7.tree", "method": "direct", "x": 1, "y": 5, '
+        '"k": 5, "d_prime": 16, "ad_prime": "16/21", '
+        '"ad_prime_decimal": 0.7619047619047619}\n'
+    ),
+    (
+        ["delta", "p7.tree", "-e", "1", "5", "--method", "matrix"],
+        '{"command": "delta", "file": "p7.tree", "method": "matrix", "x": 1, "y": 5, '
+        '"k": 5, "d_prime": 16, "ad_prime": "16/21", '
+        '"ad_prime_decimal": 0.7619047619047619}\n'
+    ),
+    (
+        ["delta", "p7.tree", "-e", "1", "5", "--method", "oracle"],
+        '{"command": "delta", "file": "p7.tree", "method": "oracle", "x": 1, "y": 5, '
+        '"k": 5, "d_prime": 16, "ad_prime": "16/21", '
+        '"ad_prime_decimal": 0.7619047619047619}\n'
+    ),
+    (
+        ["delta", "spider.tree", "-e", "3", "4", "--method", "direct"],
+        '{"command": "delta", "file": "spider.tree", "method": "direct", "x": 3, "y": 4, '
+        '"k": 5, "d_prime": 5, "ad_prime": "1/2", "ad_prime_decimal": 0.5}\n'
+    ),
+    (
+        ["delta", "spider.tree", "-e", "3", "4", "--method", "matrix"],
+        '{"command": "delta", "file": "spider.tree", "method": "matrix", "x": 3, "y": 4, '
+        '"k": 5, "d_prime": 5, "ad_prime": "1/2", "ad_prime_decimal": 0.5}\n'
+    ),
+    (
+        ["delta", "spider.tree", "-e", "3", "4", "--method", "oracle"],
+        '{"command": "delta", "file": "spider.tree", "method": "oracle", "x": 3, "y": 4, '
+        '"k": 5, "d_prime": 5, "ad_prime": "1/2", "ad_prime_decimal": 0.5}\n'
+    ),
+    (
+        ["sweep", "p7.tree", "-p", "0", "6"],
+        '{"command": "sweep", "file": "p7.tree", "x": 0, "y": 6, "records": [{"x": 0, '
+        '"y": 6, "k": 7, "d_prime": 14, "ad_prime": "2/3", '
+        '"ad_prime_decimal": 0.6666666666666666}, {"x": 1, "y": 5, "k": 5, '
+        '"d_prime": 16, "ad_prime": "16/21", "ad_prime_decimal": 0.7619047619047619}, '
+        '{"x": 2, "y": 4, "k": 3, "d_prime": 9, "ad_prime": "3/7", '
+        '"ad_prime_decimal": 0.42857142857142855}, {"x": 1, "y": 6, "k": 6, '
+        '"d_prime": 14, "ad_prime": "2/3", "ad_prime_decimal": 0.6666666666666666}, '
+        '{"x": 2, "y": 5, "k": 4, "d_prime": 12, "ad_prime": "4/7", '
+        '"ad_prime_decimal": 0.5714285714285714}, {"x": 0, "y": 5, "k": 6, '
+        '"d_prime": 14, "ad_prime": "2/3", "ad_prime_decimal": 0.6666666666666666}, '
+        '{"x": 1, "y": 4, "k": 4, "d_prime": 12, "ad_prime": "4/7", '
+        '"ad_prime_decimal": 0.5714285714285714}]}\n'
+    ),
+    (
+        ["sweep", "spider.tree", "-p", "3", "4"],
+        '{"command": "sweep", "file": "spider.tree", "x": 3, "y": 4, '
+        '"records": [{"x": 3, "y": 4, "k": 5, "d_prime": 5, "ad_prime": "1/2", '
+        '"ad_prime_decimal": 0.5}, {"x": 2, "y": 0, "k": 3, "d_prime": 4, '
+        '"ad_prime": "2/5", "ad_prime_decimal": 0.4}, {"x": 2, "y": 4, "k": 4, '
+        '"d_prime": 4, "ad_prime": "2/5", "ad_prime_decimal": 0.4}, {"x": 3, "y": 0, '
+        '"k": 4, "d_prime": 4, "ad_prime": "2/5", "ad_prime_decimal": 0.4}]}\n'
+    ),
+    (
+        ["best", "p7.tree", "--strategy", "exhaustive"],
+        '{"command": "best", "file": "p7.tree", "strategy": "exhaustive", '
+        '"best_pairs": [[1, 5]], "best_delta": 16, "best_ad_prime": "16/21", '
+        '"best_ad_prime_decimal": 0.7619047619047619, "evaluated": 15, "pruned": 0}\n'
+    ),
+    (
+        ["best", "p7.tree", "--strategy", "pruned"],
+        '{"command": "best", "file": "p7.tree", "strategy": "pruned", "best_pairs": [[1, '
+        '5]], "best_delta": 16, "best_ad_prime": "16/21", '
+        '"best_ad_prime_decimal": 0.7619047619047619, "evaluated": 13, "pruned": 2}\n'
+    ),
+    (
+        ["best", "p7.tree", "--strategy", "oracle"],
+        '{"command": "best", "file": "p7.tree", "strategy": "oracle", "best_pairs": [[1, '
+        '5]], "best_delta": 16, "best_ad_prime": "16/21", '
+        '"best_ad_prime_decimal": 0.7619047619047619, "evaluated": 15, "pruned": 0}\n'
+    ),
+    (
+        ["best", "spider.tree", "--strategy", "exhaustive"],
+        '{"command": "best", "file": "spider.tree", "strategy": "exhaustive", '
+        '"best_pairs": [[3, 4]], "best_delta": 5, "best_ad_prime": "1/2", '
+        '"best_ad_prime_decimal": 0.5, "evaluated": 6, "pruned": 0}\n'
+    ),
+    (
+        ["best", "spider.tree", "--strategy", "pruned"],
+        '{"command": "best", "file": "spider.tree", "strategy": "pruned", '
+        '"best_pairs": [[3, 4]], "best_delta": 5, "best_ad_prime": "1/2", '
+        '"best_ad_prime_decimal": 0.5, "evaluated": 6, "pruned": 0}\n'
+    ),
+    (
+        ["best", "spider.tree", "--strategy", "oracle"],
+        '{"command": "best", "file": "spider.tree", "strategy": "oracle", '
+        '"best_pairs": [[3, 4]], "best_delta": 5, "best_ad_prime": "1/2", '
+        '"best_ad_prime_decimal": 0.5, "evaluated": 6, "pruned": 0}\n'
+    ),
+    (
+        ["bounds", "--n", "16"],
+        '{"n": 16, "claimed_upper": 232, "family_max": 234, "family_argmax": {"k": 11, '
+        '"w_x": 3, "w_y": 4}, "case_values": {"3": {"exact": 56, "claimed": 58}, '
+        '"4": {"exact": 98, "claimed": 98}, "5": {"exact": 139, "claimed": 139}, '
+        '"6": {"exact": 168, "claimed": 168}, "7": {"exact": 195, "claimed": 195}, '
+        '"8": {"exact": 212, "claimed": 212}, "9": {"exact": 226, "claimed": 226}, '
+        '"10": {"exact": 232, "claimed": 232}, "11": {"exact": 234, "claimed": 232}, '
+        '"12": {"exact": 230, "claimed": 226}, "13": {"exact": 221, "claimed": 213}, '
+        '"14": {"exact": 208, "claimed": 196}, "15": {"exact": 189, "claimed": 169}}, '
+        '"critical_points": {"integer_split": {"k1": "264/25", "k2": "8/1", '
+        '"k3": "199/25"}, "fractional_split": {"k1": "262/25", "k2": "199/25", '
+        '"k3": "198/25"}, "rounded_candidates": [7, 8, 10, 11]}, '
+        '"oracle_confirmed": true, "argmax_window_ok": true, "empirical_max": null, '
+        '"empirical_tree_count": null, "lower_bound_ok": null, '
+        '"discrepancies": [{"quantity_a": "case_formula(n=16, k=3)", "value_a": 58, '
+        '"quantity_b": "family_delta(n=16, k=3, balanced)", "value_b": 56, '
+        '"note": "claimed per-k formula disagrees with exact evaluation"}, '
+        '{"quantity_a": "case_formula(n=16, k=11)", "value_a": 232, '
+        '"quantity_b": "family_delta(n=16, k=11, balanced)", "value_b": 234, '
+        '"note": "claimed per-k formula disagrees with exact evaluation"}, '
+        '{"quantity_a": "case_formula(n=16, k=12)", "value_a": 226, '
+        '"quantity_b": "family_delta(n=16, k=12, balanced)", "value_b": 230, '
+        '"note": "claimed per-k formula disagrees with exact evaluation"}, '
+        '{"quantity_a": "case_formula(n=16, k=13)", "value_a": 213, '
+        '"quantity_b": "family_delta(n=16, k=13, balanced)", "value_b": 221, '
+        '"note": "claimed per-k formula disagrees with exact evaluation"}, '
+        '{"quantity_a": "case_formula(n=16, k=14)", "value_a": 196, '
+        '"quantity_b": "family_delta(n=16, k=14, balanced)", "value_b": 208, '
+        '"note": "claimed per-k formula disagrees with exact evaluation"}, '
+        '{"quantity_a": "case_formula(n=16, k=15)", "value_a": 169, '
+        '"quantity_b": "family_delta(n=16, k=15, balanced)", "value_b": 189, '
+        '"note": "claimed per-k formula disagrees with exact evaluation"}, '
+        '{"quantity_a": "claimed_upper(n=16)", "value_a": 232, '
+        '"quantity_b": "family_max", "value_b": 234, '
+        '"note": "claimed global bound disagrees with exact family optimum"}], '
+        '"command": "bounds"}\n'
+    ),
+]
+
+
+class TestGoldenBytes:
+    @pytest.fixture
+    def in_tree_dir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "p7.tree").write_text(serialize_tree(path_tree(7)))
+        (tmp_path / "spider.tree").write_text(serialize_tree(spider_tree()))
+        (tmp_path / "one.tree").write_text("1\n")
+
+    @pytest.mark.parametrize("argv, expected", GOLDEN, ids=["-".join(a) for a, _ in GOLDEN])
+    def test_stdout(self, capsys, in_tree_dir, argv, expected):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_bounds_serializes(self, capsys):
+        # asdict of the report plus the keys the CLI reshapes: one JSON
+        # document, with the argmax as named fields
+        code, out = run(capsys, "bounds", "--n", "16")
+        assert code == 0
+        assert out["family_argmax"] == {"k": 11, "w_x": 3, "w_y": 4}

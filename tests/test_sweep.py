@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -15,7 +14,7 @@ from insetedge import (
     sweep_path,
 )
 from insetedge.counting import _correlate
-from insetedge.delta import DeltaRecord, ad_prime, delta_from_sizes
+from insetedge.delta import DeltaRecord, delta_from_sizes
 from insetedge.errors import AdjacentPair, IdOutOfRange, SameVertex
 from insetedge.tree import _path_sizes
 
@@ -205,9 +204,8 @@ def reference_sweep(tree, x, y, counter=None):
         if counter is not None:
             # d // 2 terms per ramp sum: one sum for odd d, two for even d
             counter.add(d // 2 if d % 2 else d)
-        delta = delta_from_sizes(d, sizes, rest)
         return DeltaRecord(
-            x=path[lo], y=path[hi], k=hi - lo + 1, d_prime=delta, ad_prime=ad_prime(delta, n)
+            x=path[lo], y=path[hi], k=hi - lo + 1, d_prime=delta_from_sizes(d, sizes, rest)
         )
 
     return (
@@ -218,25 +216,27 @@ def reference_sweep(tree, x, y, counter=None):
 
 
 class TestDeltaRecord:
-    """The record type's contract: five named fields in a fixed order,
-    built positionally or by keyword, immutable and hashable."""
+    """The record type's contract: four named fields in a fixed order,
+    built positionally or by keyword, immutable and hashable.  A record
+    holds the exact savings only; the CLI derives the average-distance
+    form when it prints."""
 
     def test_fields(self):
-        assert DeltaRecord._fields == ("x", "y", "k", "d_prime", "ad_prime")
+        assert DeltaRecord._fields == ("x", "y", "k", "d_prime")
 
     def test_positional_equals_keyword(self):
-        a = DeltaRecord(1, 5, 5, 16, Fraction(16, 21))
-        b = DeltaRecord(x=1, y=5, k=5, d_prime=16, ad_prime=Fraction(16, 21))
+        a = DeltaRecord(1, 5, 5, 16)
+        b = DeltaRecord(x=1, y=5, k=5, d_prime=16)
         assert a == b
-        assert (a.x, a.y, a.k, a.d_prime, a.ad_prime) == (1, 5, 5, 16, Fraction(16, 21))
+        assert (a.x, a.y, a.k, a.d_prime) == (1, 5, 5, 16)
 
     def test_immutable_and_hashable(self):
-        r = DeltaRecord(0, 6, 7, 14, ad_prime(14, 7))
+        r = DeltaRecord(0, 6, 7, 14)
         for name in DeltaRecord._fields:
             with pytest.raises(AttributeError):
                 setattr(r, name, 0)
-        assert hash(r) == hash(DeltaRecord(0, 6, 7, 14, Fraction(2, 3)))
-        assert len({r, DeltaRecord(0, 6, 7, 14, Fraction(2, 3))}) == 1
+        assert hash(r) == hash(DeltaRecord(0, 6, 7, 14))
+        assert len({r, DeltaRecord(0, 6, 7, 14)}) == 1
 
     def test_sweep_returns_list_of_records(self):
         t = random_labeled_tree(60, 20)
