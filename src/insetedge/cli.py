@@ -44,11 +44,11 @@ BOUNDS_MAX_N = 1024
 # trees, about 1 s at n = 8 and 20 s at n = 9
 EXHAUSTIVE_MAX_N = 8
 # largest tree `best` accepts (any strategy): the search walks every pair
-# and scores those its bound cannot skip, worst on the path, where
-# best_edge takes about 0.4 s at n = 500, 2.9-3.2 s at 1024 and 18-19 s
-# at 2000 (`best` 0.6 s and 2.7-3.2 s at 500 and 1024); a random tree of
-# 2000 takes 0.7-0.8 s
-BEST_MAX_N = 1024
+# and scores those its two caps cannot skip, worst on the path, where
+# `best` takes about 0.2 s at n = 512, 0.6-0.8 s at 1024 and 3.2-3.4 s at
+# 2048 (best_edge alone 3.0 s at 2048); a random tree of 2048 takes
+# 0.8-0.9 s
+BEST_MAX_N = 2048
 # largest `bench` size, and largest path length k of `sweep`: `bench` takes
 # 0.6-1.0 s and 38 MiB peak at 32768, 2.0-2.4 s and 61 MiB at 65536;
 # `sweep` 1.0-1.5 s and 66 MiB at 32768, printing 49149 records

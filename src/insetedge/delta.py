@@ -52,6 +52,21 @@ cum[L]) < best * L in integers, i.e. when the pair scores strictly below
 that best; a pair that could tie the best is always summed.  The cap is
 exact at L = 1 (D = 2 or 3).
 
+For L >= 2 the walk then applies the same inequality to each of two
+blocks of the L terms, l_1 = L // 2 and l_2 = L - l_1 of them.  A block's
+rest sum is R_1 = l_1 n - cum[l_1] or R_2 = (L n - cum[L]) - R_1, and its
+size sum, over both ramp sums as in top, is top_1 = (cum[h + l_1] -
+cum[h]) + (cum[lo + l_1] - cum[lo]) or top_2 = top - top_1, with lo = h
+for even k and h + 1 for odd k (the far ramp's sizes are the near ramp's
+shifted by one, padded with s_{D+1} = 0, over the same rests).  Each
+block's part of delta(u, v) is an integer, so
+
+    delta(u, v) <= floor(top_1 R_1 / l_1) + floor(top_2 R_2 / l_2),
+
+and the pair is skipped when that is below the best.  The sizes fall and
+the rests rise from block to block as well, so by Chebyshev on the
+block means this is never above the one-block cap.
+
 sweep.sweep_path, which evaluates the same ramp sums along a path, is
 where this route's operations are counted: D // 2 terms per ramp sum,
 one sum for even k and two for odd k.

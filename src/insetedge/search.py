@@ -20,20 +20,33 @@ allocated once per walk: sizes[j] = s_j, rest[j - 1] = n - s_j and the
 prefix sums cum[j] = s_1 + ... + s_j (cum[0] = 0).  A vertex at distance
 d from r writes its entries at index d (rest at d - 1), in place over
 those of the pairs walked before.  Straight after it writes cum[d], the
-walk bounds the pair in O(1) from cum.  Along a root path the sizes s_j
-fall and the rests n - s_j rise, so each ramp sum pairs a non-increasing
-run of sizes with a non-decreasing run of rests, and Chebyshev's sum
-inequality caps it at (sum of the sizes) * (sum of the rests) / L for L
-terms (see delta.py).  The walk reads the running best from a list that
-best_edge raises as it scores, and yields only pairs whose cap reaches
-it; the comparison is in integers and not strict, so a pair that ties
-the best is always yielded and scored, and the report is the one the
-exact sums alone give.  best_edge scores each yielded pair from sizes
-and rest with delta.delta_from_sizes, one or two slices and C-level
-sums.  The walk counts every pair it walks, yielded or not, and that
-count is evaluated.  pruning_ratio and the oracle strategy walk with a
-floor of -1, which every pair reaches (every savings is >= 1), so they
-see every pair, and the walk does not compute their caps.
+walk bounds the pair in O(1) from cum, in two tiers.  Along a root path
+the sizes s_j fall and the rests n - s_j rise, so each ramp sum pairs a
+non-increasing run of sizes with a non-decreasing run of rests, and
+Chebyshev's sum inequality caps it at (sum of the sizes) * (sum of the
+rests) / L for L = d // 2 terms (see delta.py).  A pair whose first cap
+reaches the best and has L >= 2 meets the second tier: the same
+inequality on each of two blocks of L // 2 and L - L // 2 terms, floored
+per block, which is never above the first cap.  With both tiers and the
+seed below, 2.2% of P_512's walked pairs reach the exact sum, against
+21% with the first cap alone from a best of -1.
+
+The walk reads the running best from a list that best_edge raises as it
+scores, and yields only pairs whose caps reach it; each comparison is in
+integers and not strict, so a pair that ties the best is always yielded
+and scored, and the report is the one the exact sums alone give.
+best_edge starts that best at a seed: the exact score of the best
+diagonal pair (p_i, p_{D-i}) of one diameter p_0 ... p_D, found by one
+height pass over the root-0 preorder and scored from _path_sizes, and,
+with pruning, only among the pairs the rule keeps.  The walk meets the
+seed's pair again and yields it, at least as a tie, so the seed changes
+which pairs are summed and not the report.  best_edge scores each
+yielded pair from sizes and rest with delta.delta_from_sizes, one or two
+slices and C-level sums.  The walk counts every pair it walks, yielded
+or not, and that count is evaluated.  pruning_ratio and the oracle
+strategy walk with a floor of -1, which every pair reaches (every
+savings is >= 1), so they see every pair, and the walk does not compute
+their caps.
 """
 
 from __future__ import annotations
@@ -46,7 +59,7 @@ from typing import Iterator
 from .delta import delta_direct, delta_from_sizes
 from .errors import NoCandidates, RouteMismatch
 from .oracle import delta_oracle
-from .tree import Tree, anatomize
+from .tree import Tree, _path_sizes, anatomize
 
 PRUNE_EXCEPTION_DISTANCES = frozenset({2, 3, 4, 6})
 
@@ -71,7 +84,7 @@ def _candidates(
     tree: Tree, pruned: bool, floor: list[int]
 ) -> tuple[Iterator[tuple[int, int, int]], list[int], list[int], list[int]]:
     """Candidate pairs (u, v), u < v, at distance d >= 2 whose Chebyshev
-    cap reaches the running best, each once, with the three depth stacks
+    caps reach the running best, each once, with the three depth stacks
     the walk writes as it goes.  Take the path between u and v in the tree
     rooted at the endpoint later in the root-0 preorder, with subtree sizes
     s_0 = n, s_1, ..., s_d along it.  When (u, v, d) is yielded, sizes[j] =
@@ -83,7 +96,7 @@ def _candidates(
     keeps.
 
     floor is a two-entry list [best, walked].  The walk yields a pair only
-    when its cap is not below floor[0], which it reads again after each
+    when no cap is below floor[0], which it reads again after each
     yield, so the caller raises it as it scores; a negative floor skips
     nothing.  When the walk ends, floor[1] is the number of pairs it
     walked, yielded or not."""
@@ -95,17 +108,26 @@ def _candidates(
 # one entry: a search, or a run of them over trees of one size, reads the
 # tables of its n
 @lru_cache(maxsize=1)
-def _cap_tables(n: int) -> tuple[list[int], list[int], list[int], list[int]]:
+def _cap_tables(n: int) -> tuple[list[int], list[int], list[int], list[int], list[tuple[int, ...]]]:
     """Chebyshev's cap on the L = d // 2 terms of each ramp sum is score <=
     top * (L n - cum[L]) / L with top = 2 cum[d] - cum[h] - cum[h + 1 -
     d % 2], h = d - L: the one ramp sum of odd d counts twice (see
-    delta.py).  For each distance d < n: L, L n, h and h + 1 - d % 2."""
-    return (
-        [d // 2 for d in range(n)],
-        [d // 2 * n for d in range(n)],
-        [d - d // 2 for d in range(n)],
-        [d - d // 2 + 1 - d % 2 for d in range(n)],
-    )
+    delta.py).  For each distance d < n: L, L n, h and h + 1 - d % 2.
+
+    The second tier splits the L terms into blocks of l_1 = L // 2 and
+    l_2 = L - l_1 and caps each block on its own: score <= top_1 R_1 //
+    l_1 + top_2 R_2 // l_2, with top_1 = cum[h + l_1] - cum[h] + cum[lo +
+    l_1] - cum[lo] (lo = h + 1 - d % 2), top_2 = top - top_1, R_1 = l_1 n
+    - cum[l_1] and R_2 = L n - cum[L] - R_1.  For each d with L >= 2:
+    (l_1, l_2, l_1 n, h + l_1, lo + l_1); () below that."""
+    halves = [d // 2 for d in range(n)]
+    his = [d - d // 2 for d in range(n)]
+    los = [d - d // 2 + 1 - d % 2 for d in range(n)]
+    blocks = [
+        (L // 2, L - L // 2, L // 2 * n, h + L // 2, lo + L // 2) if L > 1 else ()
+        for L, h, lo in zip(halves, his, los)
+    ]
+    return halves, [L * n for L in halves], his, los, blocks
 
 
 def _walk(
@@ -127,7 +149,7 @@ def _walk(
         depth[i] = depth[parent[i]] + 1
     # from a leaf, no pair farther than this is kept
     deepest = max(PRUNE_EXCEPTION_DISTANCES)
-    halves, spans, hi, lo = _cap_tables(n)
+    halves, spans, hi, lo, blocks = _cap_tables(n)
     best = floor[0]
     walked = 0
     for r in range(2, n):
@@ -160,18 +182,32 @@ def _walk(
                 s = sizes[d] = rerooted[u]
                 total = cum[d] = cum[d - 1] + s
                 rest[d - 1] = n - s
-                if not (pruned and (from_leaf or leaf[u]) and d not in PRUNE_EXCEPTION_DISTANCES):
-                    walked += 1
-                    # yield only a pair whose cap reaches best, in integers:
-                    # a pair that could tie it is always yielded, and every
-                    # pair reaches a negative best, uncapped
-                    half = halves[d]
-                    if best < 0 or (2 * total - cum[hi[d]] - cum[lo[d]]) * (spans[d] - cum[half]) >= best * half:
-                        x = order[u]
-                        yield (x, v, d) if x < v else (v, x, d)
-                        best = floor[0]
-                # at the limit, skip the vertices below u
+                # step past u first, so a skipped pair can continue; at the
+                # limit, skip the vertices below u
+                w = u
                 u += 1 if d < limit else size[u]
+                if pruned and (from_leaf or leaf[w]) and d not in PRUNE_EXCEPTION_DISTANCES:
+                    continue
+                walked += 1
+                # yield only a pair whose caps reach best, in integers: a
+                # pair that could tie it is always yielded, and every pair
+                # reaches a negative best, uncapped
+                if best >= 0:
+                    half = halves[d]
+                    top = 2 * total - cum[hi[d]] - cum[lo[d]]
+                    rests = spans[d] - cum[half]
+                    if top * rests < best * half:
+                        continue
+                    if half > 1:
+                        # the second tier: a cap per block of the L terms
+                        l1, l2, span1, near1, far1 = blocks[d]
+                        top1 = cum[near1] - cum[hi[d]] + cum[far1] - cum[lo[d]]
+                        rest1 = span1 - cum[l1]
+                        if top1 * rest1 // l1 + (top - top1) * (rests - rest1) // l2 < best:
+                            continue
+                x = order[w]
+                yield (x, v, d) if x < v else (v, x, d)
+                best = floor[0]
             if not a or depth[r] - depth[a] >= limit:
                 break
             c = a
@@ -179,21 +215,63 @@ def _walk(
     floor[1] = walked
 
 
+def _seed(tree: Tree, pruned: bool) -> tuple[int, tuple[int, int]]:
+    """A first running best for the walk: the best exact savings among the
+    diagonal pairs (p_i, p_{D-i}), D - 2i >= 2, of one diameter p_0 ... p_D
+    of the tree (n >= 3), and its pair (u, v), u < v; with pruned, only
+    pairs the pruning rule keeps.  (-1, (0, 0)) when there is no such
+    pair.
+
+    The diameter comes from one height pass over the kept root-0 preorder,
+    and the sizes along it from _path_sizes, so no rooted pass is made."""
+    n = tree.n
+    parent, _, order = tree._root0
+    # height[v]: how far below v its deepest vertex merged so far, deep[v],
+    # lies; children come after their parent in the preorder
+    height = [0] * n
+    deep = list(range(n))
+    longest, ends = 0, (0, 0)
+    for v in order[:0:-1]:
+        p = parent[v]
+        h = height[v] + 1
+        if height[p] + h > longest:
+            longest, ends = height[p] + h, (deep[p], deep[v])
+        if h > height[p]:
+            height[p], deep[p] = h, deep[v]
+    path, size = _path_sizes(tree, *ends)
+    # rooted at p_{D-i}, the pair's root path p_{D-i}, ..., p_i has sizes
+    # n, c_{D-i-1}, ..., c_i (see sweep.py): a slice of the reversed sizes
+    sizes = size[::-1]
+    rest = [n - s for s in sizes]
+    adjacency = tree.adjacency
+    best, pair = -1, (0, 0)
+    for i in range(longest // 2):
+        d, x, y = longest - 2 * i, path[i], path[longest - i]
+        if pruned and d not in PRUNE_EXCEPTION_DISTANCES and (len(adjacency[x]) == 1 or len(adjacency[y]) == 1):
+            continue
+        score = delta_from_sizes(d, sizes[i : longest - i + 1], rest[i + 1 : longest - i + 1])
+        if score > best:
+            best, pair = score, (x, y) if x < y else (y, x)
+    return best, pair
+
+
 def best_edge(tree: Tree, strategy: str = "exhaustive") -> SearchReport:
     """All shortcut edges maximizing the savings, sorted lexicographically.
 
     The first best pair is scored again with delta_direct on its anatomy;
-    RouteMismatch is raised if the two routes disagree."""
+    RouteMismatch is raised if the two routes disagree, or if no walked
+    pair reached the seed."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     if tree.n <= 3:
         raise NoCandidates(f"n={tree.n}")
     oracle = strategy == "oracle"
-    best = -1
+    pruned = strategy == "pruned"
+    # the oracle scores every walked pair: its walk's floor stays at -1
+    best = -1 if oracle else _seed(tree, pruned)[0]
     best_pairs: list[tuple[int, int]] = []
     floor = [best, 0]
-    pairs, sizes, rest, _ = _candidates(tree, strategy == "pruned", floor)
-    # the oracle scores every walked pair: its walk's floor stays at -1
+    pairs, sizes, rest, _ = _candidates(tree, pruned, floor)
     raised = [best] if oracle else floor
     for u, v, d in pairs:
         score = delta_oracle(tree, u, v) if oracle else delta_from_sizes(d, sizes, rest)
@@ -202,7 +280,9 @@ def best_edge(tree: Tree, strategy: str = "exhaustive") -> SearchReport:
             best_pairs = [(u, v)]
         elif score == best:
             best_pairs.append((u, v))
-    # n >= 4 has a pair at distance 2, which no rule prunes
+    # the walk yields the seed's pair again, at least as a tie
+    if not best_pairs:
+        raise RouteMismatch(f"{strategy} walk scored no pair as high as its seed {best}")
     best_pairs.sort()
     direct = delta_direct(anatomize(tree, *best_pairs[0]))
     if direct != best:

@@ -15,17 +15,19 @@ from insetedge import (
     bfs_distances,
     build_family_tree,
     delta_direct,
+    family_delta,
     family_optimum,
     leaves,
     pruning_ratio,
     random_labeled_tree,
     serialize_tree,
+    sweep_path,
 )
 from insetedge.bounds import _family_table
-from insetedge.cli import main
+from insetedge.cli import BEST_MAX_N, main
 from insetedge.errors import NoCandidates, RouteMismatch
 from insetedge.delta import delta_from_sizes
-from insetedge.search import _candidates
+from insetedge.search import _candidates, _seed
 
 from conftest import candidate_pairs, path_tree, star_tree
 
@@ -171,6 +173,23 @@ def chebyshev_cap(d, n, cum):
     return Fraction(top * (half * n - cum[half]), half)
 
 
+def two_block_cap(d, sizes, rest):
+    """The walk's second cap for L = d // 2 >= 2, from the stacks: the L
+    terms of each ramp sum split into blocks of L // 2 and L - L // 2, and
+    each block capped by floor(S * R / l), with S the block's sizes summed
+    over both ramps (the one ramp of odd d twice; the far ramp of even d
+    padded with s_{d+1} = 0), R its rests and l its length."""
+    half = d // 2
+    h = d - half
+    near = sizes[h + 1 : d + 1]
+    ramps = (near, near) if d % 2 else (near, [*sizes[h + 2 : d + 1], 0])
+    cap = 0
+    for lo, hi in ((0, half // 2), (half // 2, half)):
+        block = sum(sum(ramp[lo:hi]) for ramp in ramps)
+        cap += block * sum(rest[lo:hi]) // (hi - lo)
+    return cap
+
+
 def comb_tree(teeth: int, length: int):
     # spine 0 .. teeth - 1, each spine vertex with a pendant path of length
     # vertices: the walks run down whole teeth before climbing back
@@ -205,9 +224,13 @@ class TestSavings:
 
 
 def assert_cap_bounds_every_pair(t):
+    # the second cap is never above the first: each tier only tightens
     pairs, sizes, rest, cum = _candidates(t, False, [-1, 0])
     for u, v, d in pairs:
-        assert chebyshev_cap(d, t.n, cum) >= delta_from_sizes(d, sizes, rest), (u, v, d)
+        score, cap = delta_from_sizes(d, sizes, rest), chebyshev_cap(d, t.n, cum)
+        assert cap >= score, (u, v, d)
+        if d // 2 >= 2:
+            assert cap >= two_block_cap(d, sizes, rest) >= score, (u, v, d)
 
 
 def watch_search(t, strategy):
@@ -249,12 +272,12 @@ class TestChebyshevSkip:
     @given(t=savings_trees().filter(lambda t: t.n >= 4))
     @settings(max_examples=60, deadline=None)
     def test_skips_only_pairs_below_the_running_best(self, strategy, t):
-        # a pair the walk does not yield must score below the best of the
-        # pairs yielded before it, so a tie is always scored; evaluated
-        # counts the pairs walked, yielded or not
+        # a pair the walk does not yield must score below the seed and the
+        # best of the pairs yielded before it, so a tie is always scored;
+        # evaluated counts the pairs walked, yielded or not
         r, walked, yielded = watch_search(t, strategy)
         assert r.evaluated == len(walked)
-        best = -1
+        best = _seed(t, strategy == "pruned")[0]
         for u, v in walked:
             score = delta_direct(anatomize(t, u, v))
             if (u, v) in yielded:
@@ -262,6 +285,27 @@ class TestChebyshevSkip:
             else:
                 assert score < best, (u, v)
         assert best == r.best_delta
+
+    @pytest.mark.parametrize("strategy", ["exhaustive", "pruned"])
+    @given(t=savings_trees().filter(lambda t: t.n >= 4))
+    @settings(max_examples=40, deadline=None)
+    def test_yields_exactly_the_pairs_both_caps_reach(self, strategy, t):
+        # from the seed on, a pair leaves the walk iff its first cap and,
+        # for L >= 2, its second cap reach the best of the pairs before it
+        _, _, yielded = watch_search(t, strategy)
+        pairs, sizes, rest, cum = _candidates(t, strategy == "pruned", [-1, 0])
+        best, expected = _seed(t, strategy == "pruned")[0], set()
+        for u, v, d in pairs:
+            if chebyshev_cap(d, t.n, cum) >= best and (d // 2 < 2 or two_block_cap(d, sizes, rest) >= best):
+                expected.add((u, v))
+                best = max(best, delta_from_sizes(d, sizes, rest))
+        assert yielded == expected
+
+    def test_sums_under_a_twentieth_of_a_long_path(self):
+        # on P_512 the first cap alone lets about a fifth of the pairs through
+        r, walked, yielded = watch_search(path_tree(512), "exhaustive")
+        assert r.evaluated == len(walked)
+        assert 20 * len(yielded) < len(walked)
 
     def test_skips_most_pairs_of_a_random_tree(self):
         r, walked, yielded = watch_search(random_labeled_tree(80, 11), "exhaustive")
@@ -279,6 +323,35 @@ class TestChebyshevSkip:
             yielded += 1
             floor[0] = max(floor[0], delta_from_sizes(d, sizes, rest))
         assert 0 < yielded < floor[1] // 4
+
+
+class TestSeed:
+    @pytest.mark.parametrize("strategy", ["exhaustive", "pruned"])
+    @given(t=savings_trees().filter(lambda t: t.n >= 4))
+    @settings(max_examples=60, deadline=None)
+    def test_seed_is_a_walked_pair_at_most_the_best(self, strategy, t):
+        # the seed is the exact score of a pair the walk meets again, so it
+        # never rises above the best, and ties it only with a best pair
+        seed, pair = _seed(t, strategy == "pruned")
+        r = best_edge(t, strategy)
+        assert 1 <= seed <= r.best_delta
+        assert seed == delta_direct(anatomize(t, *pair))
+        assert pair in candidate_pairs(t, strategy)
+        if seed == r.best_delta:
+            assert pair in r.best_pairs
+
+    @pytest.mark.parametrize("strategy", ["exhaustive", "pruned"])
+    @pytest.mark.parametrize("n", [4, 5, 6, 8, 9, 64])
+    def test_path_seed_is_its_best_diagonal(self, strategy, n):
+        # the diameter of P_n is the whole path, so the seed is the first
+        # best of the pairs (i, n - 1 - i) at distance >= 2 the rule keeps
+        t = path_tree(n)
+        diagonals = [(i, n - 1 - i) for i in range((n - 1) // 2)]
+        if strategy == "pruned":
+            diagonals = kept_by_rule(t, diagonals)
+        scores = [delta_direct(anatomize(t, *p)) for p in diagonals]
+        best = max(scores)
+        assert _seed(t, strategy == "pruned") == (best, diagonals[scores.index(best)])
 
 
 class TestOracleStrategy:
@@ -352,6 +425,23 @@ class TestPathIsExtremal:
     def test_known_ties(self, n, ties):
         assert best_edge(path_tree(n)).best_pairs == ties
 
+    def test_at_the_best_limit(self):
+        # _family_table(BEST_MAX_N) takes several times the search, so the
+        # rows come from sweep_path along the whole path: its three
+        # families are the pairs (a, b) with a + b in {n - 2, n - 1, n},
+        # which are the balanced rows of every k in both orders of the
+        # split; the best row is scored again by family_delta
+        n = BEST_MAX_N
+        t = path_tree(n)
+        records = sweep_path(t, 0, n - 1)
+        best = max(r.d_prime for r in records)
+        ties = sorted((r.x, r.y) for r in records if r.d_prime == best)
+        a, b = ties[0]
+        assert family_delta(n, b - a + 1, a + 1, n - b) == best
+        r = best_edge(t)
+        assert r.best_delta == best
+        assert list(r.best_pairs) == ties
+
     @pytest.mark.parametrize("n", range(5, 65))
     def test_star_family_tree_at_the_optimum(self, n):
         k, w_x, w_y, best = family_optimum(n)
@@ -375,6 +465,13 @@ class TestRouteMismatch:
         assert main(["best", str(f)]) == 1
         out = json.loads(capsys.readouterr().out)
         assert out["error"] == "RouteMismatch"
+
+
+    def test_seed_above_every_walked_pair(self, monkeypatch, p7):
+        # a seed that no walked pair reaches leaves no best pair to report
+        monkeypatch.setattr(insetedge.search, "_seed", lambda tree, pruned: (10**6, (0, 2)))
+        with pytest.raises(RouteMismatch, match="seed"):
+            best_edge(p7)
 
 
 class TestPrunedCompleteness:
