@@ -6,6 +6,7 @@ from .bounds import (
     build_family_tree,
     claimed_case_formula,
     claimed_upper,
+    exact_case_formula,
     family_delta,
     family_optimum,
 )
@@ -52,6 +53,7 @@ __all__ = [
     "delta_from_weights",
     "delta_oracle",
     "delta_via_matrix",
+    "exact_case_formula",
     "family_delta",
     "family_optimum",
     "leaf_stats",

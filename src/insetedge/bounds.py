@@ -100,6 +100,22 @@ def claimed_case_formula(n: int, k: int) -> int:
     return int(value)
 
 
+def exact_case_formula(n: int, k: int) -> int:
+    """Exact maximal savings at fixed cycle length k, in O(1): the balanced
+    family row (k - 2) floor(m/2) ceil(m/2) + c_1 m + c_0 with m = n - k + 2,
+    where c_1 = (k-3)^2/4 and c_0 = (k-3)(k-4)(k-5)/24 for odd k, and
+    c_1 = (k-2)(k-4)/4 and c_0 = (k-2)(k-4)(k-6)/24 for even k.  It is the
+    row family_delta evaluates term by term; the tests compare the two."""
+    if k < 3 or k > n:
+        raise OutOfDomain(f"n={n}, k={k}")
+    m = n - k + 2
+    if k % 2:
+        c_1, c_0 = (k - 3) ** 2 // 4, (k - 3) * (k - 4) * (k - 5) // 24
+    else:
+        c_1, c_0 = (k - 2) * (k - 4) // 4, (k - 2) * (k - 4) * (k - 6) // 24
+    return (k - 2) * (m // 2) * ((m + 1) // 2) + c_1 * m + c_0
+
+
 def _check_family(n: int, k: int, w_x: int, w_y: int) -> None:
     """Raise OutOfDomain unless (k, w_x, w_y) is a family configuration on
     n vertices: k >= 3 and positive anchor weights summing to n - k + 2."""
@@ -120,14 +136,13 @@ def family_delta(n: int, k: int, w_x: int, w_y: int) -> int:
 # one entry: audit reads the table that its family_optimum call just built
 @lru_cache(maxsize=1)
 def _family_table(n: int) -> tuple[tuple[int, int, int, int], ...]:
-    """(k, w_x, w_y, family_delta) for 3 <= k <= n with the balanced anchor
-    split w_x = floor(m/2), w_y = ceil(m/2), m = n - k + 2, in order of k."""
-    table = []
-    for k in range(3, n + 1):
-        m = n - k + 2
-        w_x, w_y = m // 2, (m + 1) // 2
-        table.append((k, w_x, w_y, family_delta(n, k, w_x, w_y)))
-    return tuple(table)
+    """(k, w_x, w_y, exact_case_formula) for 3 <= k <= n with the balanced
+    anchor split w_x = floor(m/2), w_y = ceil(m/2), m = n - k + 2, in order
+    of k: the family_delta of each row, in O(1) a row."""
+    return tuple(
+        (k, (n - k + 2) // 2, (n - k + 3) // 2, exact_case_formula(n, k))
+        for k in range(3, n + 1)
+    )
 
 
 def family_optimum(n: int) -> tuple[int, int, int, int]:

@@ -21,25 +21,43 @@ for every record, so with t = a - A
     R_i = sum_{t=0}^{L-1-i} c_{lo_0+i+t} e_{A+t},    L = hi_0 - A,
 
 the lag-i correlation of the fixed sequences c[lo_0 : lo_0 + L] and
-e[A : hi_0].  A whole sweep is 4 or 5 such correlations.
-counting._correlate takes each as one exact product of two Python ints
-(Kronecker substitution), so no per-record sum is left.  The counter is
-still charged the terms of the ramp sums each record is made of: d // 2
-per ramp sum, one sum for odd d and two for even d.
+e[A : hi_0].  In the size index j = lo_0 + i + t,
+
+    R_i = sum_{j=lo_0+i}^{E-1} c_j e_{j+A-lo_0-i},    E = lo_0 + hi_0 - A,
+
+so every ramp sum of every record is a windowed lag sum over the same two
+sequences c and e, and a sweep has at most five windows, one per family
+and δ.  Their starts A lie in k//2 - 1 .. k//2 + 1 and their ends E in
+k//2 - 2 .. k//2, so one exact product serves all five.  With
+Q = k//2 + 1 the largest start, P = Q - 1 the largest end and e padded
+with e_k = 0,
+
+    X_λ = sum_{j=λ}^{P-1} c_j e_{Q+j-λ}
+
+is one counting._correlate of c[:P] and e[Q : Q + P] (a product of two
+Python ints, Kronecker substitution).  Record i of a window reads
+X_λ at λ = lo_0 + Q - A + i, adds the Q - A head columns
+j = lo_0 + i + t, t < Q - A, whose rests e_{A+t} lie below e_Q, and
+subtracts the tail columns j = E .. P - 1 past the window's end; each
+column is one map over a slice of c, or over a reversed slice of e, and a
+window has at most two of each, so no per-record sum is left.  The
+counter is still charged the terms of the ramp sums each record is made
+of: d // 2 per ramp sum, one sum for odd d and two for even d.
 Sizes come from the tree's kept root-0 pass.
 
 Each family's records are built column-wise: map feeds DeltaRecord (a
 NamedTuple) the x column path[lo_0 : lo_0 + count], the y column
 path[hi_0 : hi_0 - count : -1], the k column d_0 + 1, d_0 - 1, ... and
 the savings, so no per-record Python frame or keyword binding is left.
-A record holds the exact savings only, so building the records is about
-a quarter of a sweep (1,197 records on an 800-vertex stretch of P_1024);
-the path's sizes and the correlations are the rest.
+On an 800-vertex stretch of P_1024 (1,198 records) building the records
+is about 40% of a sweep, the one product about 30%, the head and tail
+columns with e about 20% and the path's sizes the rest.
 """
 
 from __future__ import annotations
 
-from operator import add
+from itertools import repeat
+from operator import add, mul, sub
 from typing import Optional
 
 from .counting import OpCounter, _correlate
@@ -61,17 +79,32 @@ def sweep_path(
     path, size = _path_sizes(tree, x, y)
     n, k = tree.n, len(path)
     rest = [n - c for c in size]  # e_i
+    rest.append(0)  # e_k = 0 pads the product's rest slice and the tail columns
+    q = k // 2 + 1  # the largest start A of the five windows
+    p = q - 1  # one past the largest window end
+    lags = _correlate(size[:p], rest[q : q + p], p + 1)
+
+    def ramp(lo0: int, hi0: int, a: int, count: int):
+        # R_i for i < count: X_λ, the head columns t < q - a, less the
+        # tail columns j = E .. p - 1 (the module docstring)
+        sums = lags[lo0 + q - a : lo0 + q - a + count]
+        for t in range(q - a):
+            head = map(mul, size[lo0 + t : lo0 + t + count], repeat(rest[a + t]))
+            sums = map(add, sums, head)
+        for j in range(lo0 + hi0 - a, p):
+            s = j + a - lo0
+            sums = map(sub, sums, map(mul, repeat(size[j]), rest[s : s - count : -1]))
+        return sums
+
     records = []
     for lo0, hi0 in ((0, k - 1), (1, k - 1), (0, k - 2)):
         d0 = hi0 - lo0
         count = d0 // 2  # the records with d >= 2
         a = lo0 + (d0 + 1) // 2  # A for δ = 0
-        near = _correlate(size[lo0 : lo0 + hi0 - a], rest[a:hi0], count)
         if d0 % 2:
-            deltas = [2 * r for r in near]
+            deltas = map(mul, ramp(lo0, hi0, a, count), repeat(2))
         else:
-            far = _correlate(size[lo0 : lo0 + hi0 - a - 1], rest[a + 1 : hi0], count)
-            deltas = list(map(add, near, far))
+            deltas = map(add, ramp(lo0, hi0, a, count), ramp(lo0, hi0, a + 1, count))
         if counter is not None:
             # record i sums d // 2 = count - i terms per ramp
             counter.add(count * (count + 1) // 2 * (1 if d0 % 2 else 2))

@@ -17,6 +17,7 @@ from insetedge import (
     claimed_upper,
     delta_direct,
     delta_oracle,
+    exact_case_formula,
     family_delta,
     family_optimum,
 )
@@ -55,6 +56,27 @@ class TestCaseFormulas:
             claimed_case_formula(16, 2)
         with pytest.raises(OutOfDomain):
             claimed_case_formula(16, 17)
+
+
+class TestExactCaseFormula:
+    @pytest.mark.parametrize("n", [*range(3, 121), 200, 256, 300])
+    def test_equals_family_delta_on_every_row(self, n):
+        for k, w_x, w_y, value in _family_table(n):
+            assert value == exact_case_formula(n, k) == family_delta(n, k, w_x, w_y), k
+
+    def test_domain(self):
+        for n, k in ((16, 2), (16, 17), (3, 4)):
+            with pytest.raises(OutOfDomain):
+                exact_case_formula(n, k)
+
+    def test_table_does_not_call_family_delta(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("family_delta called")
+
+        monkeypatch.setattr("insetedge.bounds.family_delta", refuse)
+        _family_table.cache_clear()
+        assert _family_table(16)[8] == (11, 3, 4, 234)
+        _family_table.cache_clear()
 
 
 class TestFamilyDelta:

@@ -426,11 +426,11 @@ class TestPathIsExtremal:
         assert best_edge(path_tree(n)).best_pairs == ties
 
     def test_at_the_best_limit(self):
-        # _family_table(BEST_MAX_N) takes several times the search, so the
-        # rows come from sweep_path along the whole path: its three
-        # families are the pairs (a, b) with a + b in {n - 2, n - 1, n},
-        # which are the balanced rows of every k in both orders of the
-        # split; the best row is scored again by family_delta
+        # the rows come from sweep_path along the whole path, a route
+        # independent of _family_table: its three families are the pairs
+        # (a, b) with a + b in {n - 2, n - 1, n}, which are the balanced
+        # rows of every k in both orders of the split; the best row is
+        # scored again by family_delta and read from the table
         n = BEST_MAX_N
         t = path_tree(n)
         records = sweep_path(t, 0, n - 1)
@@ -438,6 +438,7 @@ class TestPathIsExtremal:
         ties = sorted((r.x, r.y) for r in records if r.d_prime == best)
         a, b = ties[0]
         assert family_delta(n, b - a + 1, a + 1, n - b) == best
+        assert family_optimum(n)[3] == best
         r = best_edge(t)
         assert r.best_delta == best
         assert list(r.best_pairs) == ties

@@ -175,6 +175,9 @@ class TestCorrelate:
         assert _correlate([big] * 5, [big] * 5, 6) == [big * big * m for m in (5, 4, 3, 2, 1, 0)]
         assert _correlate([0, 0, 3], [5, 0, 0], 3) == [0, 0, 15]
         assert _correlate([], [], 2) == [0, 0]
+        # an all-zero side still leaves each digit wide enough for the other
+        assert _correlate([300], [0], 1) == [0]
+        assert _correlate([0], [300], 1) == [0]
 
     def test_anti_diagonal_sums(self):
         # count == len(c), c reversed: the shape of the matrix route, whose
@@ -274,8 +277,46 @@ class TestPerRecordReference:
         self.assert_same(t, 1, k)
         self.assert_same(t, k, 1)
 
+    def test_every_pair_of_short_paths(self):
+        # every ordered pair on P_n, n <= 20: each parity of k and each
+        # offset of the path inside the tree, so every head and tail column
+        # count of every family's window
+        for n in range(3, 21):
+            t = path_tree(n)
+            for x in range(n):
+                for y in range(n):
+                    if abs(x - y) >= 2:
+                        self.assert_same(t, x, y)
+
+    def test_every_pair_of_small_random_trees(self):
+        rng = random.Random(24)
+        for _ in range(60):
+            n = rng.randrange(3, 13)
+            t = random_labeled_tree(n, rng.randrange(2**32))
+            for x in range(n):
+                dist = bfs_distances(t, x)
+                for y in range(n):
+                    if dist[y] >= 2:
+                        self.assert_same(t, x, y)
+
     def test_large_sizes(self):
         # a 600-vertex stretch of a 2000-vertex path: sizes in the
         # hundreds and thousands, so each packed digit is several bytes
         t = path_tree(2000)
         self.assert_same(t, 700, 1300)
+
+
+class TestOneProduct:
+    @pytest.mark.parametrize("k", range(3, 41))
+    def test_one_correlate_call_per_sweep(self, k, monkeypatch):
+        calls = []
+
+        def counted(c, e, count):
+            calls.append(count)
+            return _correlate(c, e, count)
+
+        monkeypatch.setattr("insetedge.sweep._correlate", counted)
+        t = path_tree(k + 3)
+        recs = sweep_path(t, 2, k + 1)
+        assert len(calls) == 1
+        assert recs == reference_sweep(t, 2, k + 1)
