@@ -45,9 +45,9 @@ BOUNDS_MAX_N = 1024
 EXHAUSTIVE_MAX_N = 8
 # largest tree `best` accepts (any strategy): the search walks every pair
 # and scores those its two caps cannot skip, worst on the path, where
-# `best` takes about 0.2 s at n = 512, 0.6-0.8 s at 1024 and 3.2-3.4 s at
-# 2048 (best_edge alone 3.0 s at 2048); a random tree of 2048 takes
-# 0.8-0.9 s
+# `best` takes 0.2-0.3 s at n = 512, 0.8-1.0 s at 1024 and 4.2-5.3 s at
+# 2048 (best_edge alone 4.1-5.2 s of CPU at 2048); a random tree of 2048
+# takes 1.3-1.4 s (a loaded shared 2-core machine)
 BEST_MAX_N = 2048
 # largest `bench` size, and largest path length k of `sweep`: `bench` takes
 # 0.6-1.0 s and 38 MiB peak at 32768, 2.0-2.4 s and 61 MiB at 65536;
@@ -66,7 +66,8 @@ RANDOM_MAX_N = 100000
 # 5 trees of 100000, 2.9-3.1 s for `--stats pruning` on 125000 trees of 4
 RANDOM_MAX_VERTICES = 500000
 # largest n^2 * count for `random --stats pruning`, which walks O(n^2)
-# pairs per tree: 0.9-1.0 s at n = 3162, count 1 and at n = 1000, count 10
+# pairs per tree: 0.9-1.3 s at n = 3162, count 1 and 1.4 s at n = 1000,
+# count 10 (the same machine)
 PRUNING_MAX_PAIRS = 10**7
 
 
@@ -78,6 +79,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
     return value
 
 
@@ -361,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="audit claimed extremal bounds")
     p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--exhaustive-limit", type=int, default=0)
+    p.add_argument("--exhaustive-limit", type=_nonnegative_int, default=0)
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("extremal", help="build an extremal-family tree")

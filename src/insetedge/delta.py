@@ -26,13 +26,20 @@ and
 
 about k/2 products per pair, where the weight formula sums about k^2/8.
 
-delta_from_sizes reads the factors from depth stacks that a walk down
-the root path writes in place: sizes[j] = s_j and rest[j - 1] = n - s_j.
-Each ramp sum is then one slice of sizes zipped with rest: R(h) starts
-at sizes[h + 1] and R(h + 1) at sizes[h + 2].
+delta_from_sizes reads the factors from two depth stacks that a walk
+down the root path writes in place: sizes[j] = s_j and the prefix sums
+cum[j] = s_1 + ... + s_j (cum[0] = 0).  Splitting each term s_{j+m} (n -
+s_j) into its two products gives
 
-The walk also keeps the prefix sums cum[j] = s_1 + ... + s_j (cum[0] =
-0), from which it bounds a pair in O(1) before search.best_edge sums
+    R(m) = n (cum[D] - cum[m]) - sum_{j=1}^{D-m} s_{j+m} s_j,
+
+and moving the j = 0 term s_m s_0 = n s_m from the first part into the
+sum gives R(m) = n (cum[D] - cum[m - 1]) - sum_{j=0}^{D-m} s_{j+m} s_j.
+The sum is then one slice of sizes, from sizes[m], zipped with the whole
+stack from sizes[0] = n: one slice and one C-level sum per ramp sum, and
+no stack of rests.
+
+The walk bounds a pair in O(1) from cum before search.best_edge sums
 it.  Along the root path the sizes fall, s_1 >= s_2 >= ... >= s_D, and
 the rests n - s_j rise, so both ramp sums pair a non-increasing run of
 sizes with a non-decreasing run of rests over the same L = D // 2 rests
@@ -133,16 +140,19 @@ def delta_term_count(k: int) -> int:
     return k_prime * (k_prime + 1) // 2 if k % 2 else k_prime * (k_prime - 1) // 2
 
 
-def delta_from_sizes(d: int, sizes: Sequence[int], rest: Sequence[int]) -> int:
+def delta_from_sizes(d: int, sizes: Sequence[int], cum: Sequence[int]) -> int:
     """Savings of a pair at distance d >= 2 from the depth stacks of its
-    root path: sizes[j] = s_j and rest[j - 1] = n - s_j, read up to index
-    d (see the module docstring).  Entries past d may hold anything.  Each
-    ramp sum is one slice and one C-level sum."""
+    root path: sizes[j] = s_j (sizes[0] = n) and the prefix sums cum[j] =
+    s_1 + ... + s_j, read up to index d (see the module docstring).  Only
+    differences of cum are read, so its entries may all be off by one
+    constant; entries past d may hold anything.  Each ramp sum is one slice
+    and one C-level sum."""
+    n = sizes[0]
     h = (d + 1) // 2
-    near = sum(map(mul, sizes[h + 1 : d + 1], rest))
+    near = sum(map(mul, sizes[h : d + 1], sizes))
     if d % 2:  # k = d + 1 even
-        return 2 * near
-    return near + sum(map(mul, sizes[h + 2 : d + 1], rest))
+        return 2 * (n * (cum[d] - cum[h - 1]) - near)
+    return n * (2 * cum[d] - cum[h - 1] - cum[h]) - near - sum(map(mul, sizes[h + 1 : d + 1], sizes))
 
 
 def delta_direct(anatomy: CycleAnatomy) -> int:

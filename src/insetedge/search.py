@@ -12,24 +12,28 @@ The vertices before r in that preorder are r's ancestors and, below each
 ancestor, the whole subtrees of its children that precede the child
 toward r, one contiguous run of the preorder per ancestor.  Rooted at r,
 only an ancestor's subtree changes: it is everything outside the root-0
-subtree of its child toward r.  So each root costs one walk over the
-vertices it pairs with, and no rooted pass of its own.
+subtree of its child toward r.  The walk keeps one copy of the root-0
+sizes per call and, as the roots advance in preorder, writes each
+ancestor's rooted size over its entry and restores the entry once the
+preorder leaves the ancestor's subtree: O(n) writes over the whole walk.
+So each root costs one walk over the vertices it pairs with, and no
+rooted pass, size copy or ancestor climb of its own.
 
-The walk keeps the sizes along the current path in three depth stacks,
-allocated once per walk: sizes[j] = s_j, rest[j - 1] = n - s_j and the
-prefix sums cum[j] = s_1 + ... + s_j (cum[0] = 0).  A vertex at distance
-d from r writes its entries at index d (rest at d - 1), in place over
-those of the pairs walked before.  Straight after it writes cum[d], the
-walk bounds the pair in O(1) from cum, in two tiers.  Along a root path
-the sizes s_j fall and the rests n - s_j rise, so each ramp sum pairs a
-non-increasing run of sizes with a non-decreasing run of rests, and
-Chebyshev's sum inequality caps it at (sum of the sizes) * (sum of the
-rests) / L for L = d // 2 terms (see delta.py).  A pair whose first cap
-reaches the best and has L >= 2 meets the second tier: the same
-inequality on each of two blocks of L // 2 and L - L // 2 terms, floored
-per block, which is never above the first cap.  With both tiers and the
-seed below, 2.2% of P_512's walked pairs reach the exact sum, against
-21% with the first cap alone from a best of -1.
+The walk keeps the sizes along the current path in two depth stacks,
+allocated once per walk: sizes[j] = s_j (sizes[0] = n) and the prefix
+sums cum[j] = s_1 + ... + s_j (cum[0] = 0).  A vertex at distance d from
+r writes its entries at index d, in place over those of the pairs walked
+before.  Straight after it writes cum[d], the walk bounds the pair in
+O(1) from cum, in two tiers.  Along a root path the sizes s_j fall and
+the rests n - s_j rise, so each ramp sum pairs a non-increasing run of
+sizes with a non-decreasing run of rests, and Chebyshev's sum inequality
+caps it at (sum of the sizes) * (sum of the rests) / L for L = d // 2
+terms (see delta.py).  A pair whose first cap reaches the best and has
+L >= 2 meets the second tier: the same inequality on each of two blocks
+of L // 2 and L - L // 2 terms, floored per block, which is never above
+the first cap.  With both tiers and the seed below, 2.2% of P_512's
+walked pairs reach the exact sum, against 21% with the first cap alone
+from a best of -1.
 
 The walk reads the running best from a list that best_edge raises as it
 scores, and yields only pairs whose caps reach it; each comparison is in
@@ -41,7 +45,7 @@ height pass over the root-0 preorder and scored from _path_sizes, and,
 with pruning, only among the pairs the rule keeps.  The walk meets the
 seed's pair again and yields it, at least as a tie, so the seed changes
 which pairs are summed and not the report.  best_edge scores each
-yielded pair from sizes and rest with delta.delta_from_sizes, one or two
+yielded pair from sizes and cum with delta.delta_from_sizes, one or two
 slices and C-level sums.  The walk counts every pair it walks, yielded
 or not, and that count is evaluated.  pruning_ratio and the oracle
 strategy walk with a floor of -1, which every pair reaches (every
@@ -54,6 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterator
 
 from .delta import delta_direct, delta_from_sizes
@@ -82,18 +87,17 @@ def _non_adjacent_count(tree: Tree) -> int:
 
 def _candidates(
     tree: Tree, pruned: bool, floor: list[int]
-) -> tuple[Iterator[tuple[int, int, int]], list[int], list[int], list[int]]:
+) -> tuple[Iterator[tuple[int, int, int]], list[int], list[int]]:
     """Candidate pairs (u, v), u < v, at distance d >= 2 whose Chebyshev
-    caps reach the running best, each once, with the three depth stacks
-    the walk writes as it goes.  Take the path between u and v in the tree
+    caps reach the running best, each once, with the two depth stacks the
+    walk writes as it goes.  Take the path between u and v in the tree
     rooted at the endpoint later in the root-0 preorder, with subtree sizes
     s_0 = n, s_1, ..., s_d along it.  When (u, v, d) is yielded, sizes[j] =
-    s_j for j <= d, rest[j - 1] = n - s_j for 1 <= j <= d, and cum[j] =
-    s_1 + ... + s_j for j <= d.  Entries past those are left from earlier
-    pairs.  The stacks are rewritten in place: read them before asking for
-    the next pair.  With pruned, leaf pairs are dropped by the pruning
-    rule, and the walk from a leaf stops at the largest distance the rule
-    keeps.
+    s_j and cum[j] = s_1 + ... + s_j for j <= d.  Entries past those are
+    left from earlier pairs.  The stacks are rewritten in place: read them
+    before asking for the next pair.  With pruned, leaf pairs are dropped
+    by the pruning rule, and the walk from a leaf stops at the largest
+    distance the rule keeps.
 
     floor is a two-entry list [best, walked].  The walk yields a pair only
     when no cap is below floor[0], which it reads again after each
@@ -101,37 +105,39 @@ def _candidates(
     nothing.  When the walk ends, floor[1] is the number of pairs it
     walked, yielded or not."""
     n = tree.n
-    sizes, rest, cum = [n] * n, [0] * n, [0] * n
-    return _walk(tree, pruned, floor, sizes, rest, cum), sizes, rest, cum
+    sizes, cum = [n] * n, [0] * n
+    return _walk(tree, pruned, floor, sizes, cum), sizes, cum
 
 
 # one entry: a search, or a run of them over trees of one size, reads the
-# tables of its n
+# table of its n
 @lru_cache(maxsize=1)
-def _cap_tables(n: int) -> tuple[list[int], list[int], list[int], list[int], list[tuple[int, ...]]]:
+def _cap_tables(n: int) -> list[tuple[int, int, int, int, tuple[int, ...]]]:
     """Chebyshev's cap on the L = d // 2 terms of each ramp sum is score <=
     top * (L n - cum[L]) / L with top = 2 cum[d] - cum[h] - cum[h + 1 -
     d % 2], h = d - L: the one ramp sum of odd d counts twice (see
-    delta.py).  For each distance d < n: L, L n, h and h + 1 - d % 2.
+    delta.py).
 
     The second tier splits the L terms into blocks of l_1 = L // 2 and
     l_2 = L - l_1 and caps each block on its own: score <= top_1 R_1 //
     l_1 + top_2 R_2 // l_2, with top_1 = cum[h + l_1] - cum[h] + cum[lo +
     l_1] - cum[lo] (lo = h + 1 - d % 2), top_2 = top - top_1, R_1 = l_1 n
-    - cum[l_1] and R_2 = L n - cum[L] - R_1.  For each d with L >= 2:
-    (l_1, l_2, l_1 n, h + l_1, lo + l_1); () below that."""
-    halves = [d // 2 for d in range(n)]
-    his = [d - d // 2 for d in range(n)]
-    los = [d - d // 2 + 1 - d % 2 for d in range(n)]
-    blocks = [
-        (L // 2, L - L // 2, L // 2 * n, h + L // 2, lo + L // 2) if L > 1 else ()
-        for L, h, lo in zip(halves, his, los)
-    ]
-    return halves, [L * n for L in halves], his, los, blocks
+    - cum[l_1] and R_2 = L n - cum[L] - R_1.
+
+    One tuple for each distance d < n: (L, L n, h, lo, block), where block
+    is (l_1, l_2, l_1 n, h + l_1, lo + l_1) for L >= 2 and () below."""
+    tables = []
+    for d in range(n):
+        L = d // 2
+        h = d - L
+        lo = h + 1 - d % 2
+        block = (L // 2, L - L // 2, L // 2 * n, h + L // 2, lo + L // 2) if L > 1 else ()
+        tables.append((L, L * n, h, lo, block))
+    return tables
 
 
 def _walk(
-    tree: Tree, pruned: bool, floor: list[int], sizes: list[int], rest: list[int], cum: list[int]
+    tree: Tree, pruned: bool, floor: list[int], sizes: list[int], cum: list[int]
 ) -> Iterator[tuple[int, int, int]]:
     """The pairs of _candidates, writing the stacks it is given."""
     n = tree.n
@@ -147,29 +153,44 @@ def _walk(
     depth = [0] * n
     for i in range(1, n):
         depth[i] = depth[parent[i]] + 1
+    # rooted at r, only an ancestor's subtree changes: it is everything
+    # outside the root-0 subtree of its child toward r.  rooted holds those
+    # sizes for the ancestors of the current root and root-0 sizes for
+    # every other vertex; see the update at each root
+    rooted = size[:]
+    # the vertices whose pairs the pruning rule may drop, chosen per root:
+    # every vertex from a leaf root, the leaves from any other, and none
+    # without pruning
+    every, none = [True] * n, [False] * n
+    kept = PRUNE_EXCEPTION_DISTANCES
     # from a leaf, no pair farther than this is kept
-    deepest = max(PRUNE_EXCEPTION_DISTANCES)
-    halves, spans, hi, lo, blocks = _cap_tables(n)
+    deepest = max(kept)
+    caps = _cap_tables(n)
     best = floor[0]
     walked = 0
+    # as at root 1, whose one ancestor is 0
+    if n > 1:
+        rooted[0] = n - size[1]
     for r in range(2, n):
+        # r's parent a is r - 1 or one of its ancestors: going on from root
+        # r - 1, restore the entries below a on r - 1's path, which no
+        # longer hold ancestors, and a's, whose child toward the root is now
+        # r.  Each vertex is set once per child and restored once, so this
+        # is O(n) over the whole walk
+        a = parent[r]
+        c = r - 1
+        while c != a:
+            rooted[c] = size[c]
+            c = parent[c]
+        rooted[a] = n - size[r]
         v = order[r]
         from_leaf = pruned and leaf[r]
         limit = deepest if from_leaf else n
-        # rooted at r, an ancestor's subtree is everything outside the
-        # root-0 subtree of its child toward r; every other size stays
-        rerooted = size[:r]
-        c = r
-        while c:
-            a = parent[c]
-            rerooted[a] = n - size[c]
-            c = a
+        droppable = every if from_leaf else leaf if pruned else none
         # ranks a .. c - 1 are ancestor a, then the subtrees of a's children
         # before c, in preorder; the first run starts past r's parent,
         # which is adjacent to r
-        a = parent[r]
-        sizes[1] = cum[1] = rerooted[a]
-        rest[0] = n - rerooted[a]
+        sizes[1] = cum[1] = rooted[a]
         c, u = r, a + 1
         while True:
             # d(r, u) = depth[r] + depth[u] - 2 depth[a] along a's run
@@ -179,29 +200,28 @@ def _walk(
                 # the vertex before u on the path was the last one written
                 # at d - 1: u's parent in this run or, for u = a, the child
                 # c of a toward r
-                s = sizes[d] = rerooted[u]
+                s = sizes[d] = rooted[u]
                 total = cum[d] = cum[d - 1] + s
-                rest[d - 1] = n - s
                 # step past u first, so a skipped pair can continue; at the
                 # limit, skip the vertices below u
                 w = u
                 u += 1 if d < limit else size[u]
-                if pruned and (from_leaf or leaf[w]) and d not in PRUNE_EXCEPTION_DISTANCES:
+                if droppable[w] and d not in kept:
                     continue
                 walked += 1
                 # yield only a pair whose caps reach best, in integers: a
                 # pair that could tie it is always yielded, and every pair
                 # reaches a negative best, uncapped
                 if best >= 0:
-                    half = halves[d]
-                    top = 2 * total - cum[hi[d]] - cum[lo[d]]
-                    rests = spans[d] - cum[half]
+                    half, span, hi, lo, block = caps[d]
+                    top = 2 * total - cum[hi] - cum[lo]
+                    rests = span - cum[half]
                     if top * rests < best * half:
                         continue
-                    if half > 1:
+                    if block:
                         # the second tier: a cap per block of the L terms
-                        l1, l2, span1, near1, far1 = blocks[d]
-                        top1 = cum[near1] - cum[hi[d]] + cum[far1] - cum[lo[d]]
+                        l1, l2, span1, near1, far1 = block
+                        top1 = cum[near1] - cum[hi] + cum[far1] - cum[lo]
                         rest1 = span1 - cum[l1]
                         if top1 * rest1 // l1 + (top - top1) * (rests - rest1) // l2 < best:
                             continue
@@ -240,16 +260,20 @@ def _seed(tree: Tree, pruned: bool) -> tuple[int, tuple[int, int]]:
             height[p], deep[p] = h, deep[v]
     path, size = _path_sizes(tree, *ends)
     # rooted at p_{D-i}, the pair's root path p_{D-i}, ..., p_i has sizes
-    # n, c_{D-i-1}, ..., c_i (see sweep.py): a slice of the reversed sizes
+    # n, c_{D-i-1}, ..., c_i (see sweep.py): the reversed sizes from index
+    # i on, once entry i (c_{D-i}, which no later pair reads) is set to n.
+    # Its cum is the reversed sizes' prefix sums from index i + 1 on, all
+    # off by their first entry: delta_from_sizes reads only differences
     sizes = size[::-1]
-    rest = [n - s for s in sizes]
+    prefix = list(accumulate(sizes, initial=0))
     adjacency = tree.adjacency
     best, pair = -1, (0, 0)
     for i in range(longest // 2):
         d, x, y = longest - 2 * i, path[i], path[longest - i]
         if pruned and d not in PRUNE_EXCEPTION_DISTANCES and (len(adjacency[x]) == 1 or len(adjacency[y]) == 1):
             continue
-        score = delta_from_sizes(d, sizes[i : longest - i + 1], rest[i + 1 : longest - i + 1])
+        sizes[i] = n
+        score = delta_from_sizes(d, sizes[i : longest - i + 1], prefix[i + 1 : longest - i + 2])
         if score > best:
             best, pair = score, (x, y) if x < y else (y, x)
     return best, pair
@@ -271,10 +295,10 @@ def best_edge(tree: Tree, strategy: str = "exhaustive") -> SearchReport:
     best = -1 if oracle else _seed(tree, pruned)[0]
     best_pairs: list[tuple[int, int]] = []
     floor = [best, 0]
-    pairs, sizes, rest, _ = _candidates(tree, pruned, floor)
+    pairs, sizes, cum = _candidates(tree, pruned, floor)
     raised = [best] if oracle else floor
     for u, v, d in pairs:
-        score = delta_oracle(tree, u, v) if oracle else delta_from_sizes(d, sizes, rest)
+        score = delta_oracle(tree, u, v) if oracle else delta_from_sizes(d, sizes, cum)
         if score > best:
             best = raised[0] = score
             best_pairs = [(u, v)]
@@ -303,7 +327,7 @@ def pruning_ratio(tree: Tree) -> Fraction:
         raise NoCandidates(f"n={tree.n}")
     total = _non_adjacent_count(tree)
     floor = [-1, 0]
-    pairs, _, _, _ = _candidates(tree, True, floor)
+    pairs, _, _ = _candidates(tree, True, floor)
     # a floor of -1 yields every kept pair; the walk counts them itself
     for _ in pairs:
         pass

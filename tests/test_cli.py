@@ -424,6 +424,7 @@ class TestErrors:
             ["extremal", "--n", "0", "--k", "3", "--wx", "1", "--wy", "1"],
             ["extremal", "--n", "8", "--k", "6", "--wx", "0", "--wy", "4"],
             ["bounds", "--n", "-1"],
+            ["bounds", "--n", "5", "--exhaustive-limit", "-3"],
         ],
         ids=[
             "random-count-0",
@@ -434,6 +435,7 @@ class TestErrors:
             "extremal-n-0",
             "extremal-wx-0",
             "bounds-n-neg",
+            "bounds-exhaustive-limit-neg",
         ],
     )
     def test_nonpositive_int_is_usage_error(self, capsys, argv):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -14,8 +15,9 @@ from insetedge import (
     delta_oracle,
     random_labeled_tree,
 )
-from insetedge.delta import delta_term_count
+from insetedge.delta import delta_from_sizes, delta_term_count
 from insetedge.errors import KTooSmall
+from insetedge.tree import _path_sizes
 
 from conftest import path_tree
 
@@ -102,6 +104,26 @@ class TestDeltaFromWeights:
         assert delta_term_count(5) == 3
         assert delta_term_count(6) == 3
         assert delta_term_count(7) == 6
+
+
+class TestDeltaFromSizes:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_direct_with_any_cum_offset(self, seed):
+        # the stacks of each pair's root path with other entries past d, as
+        # the search walk leaves them, and cum shifted by a constant, as
+        # search._seed passes it: the scorer reads cum only in differences
+        t = random_labeled_tree(40, seed)
+        rng = random.Random(seed)
+        for u in range(t.n):
+            for v in range(u + 1, t.n):
+                if v in t.adjacency[u]:
+                    continue
+                path, size = _path_sizes(t, u, v)
+                d = len(path) - 1
+                sizes = [*size[::-1], *rng.choices(range(1, t.n), k=3)]
+                offset = rng.randrange(-50, 50)
+                cum = [offset + c for c in accumulate(sizes[1:], initial=0)]
+                assert delta_from_sizes(d, sizes, cum) == delta_direct(anatomize(t, u, v)), (u, v)
 
 
 class TestAdPrime:

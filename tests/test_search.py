@@ -28,6 +28,7 @@ from insetedge.cli import BEST_MAX_N, main
 from insetedge.errors import NoCandidates, RouteMismatch
 from insetedge.delta import delta_from_sizes
 from insetedge.search import _candidates, _seed
+from insetedge.tree import _path_sizes
 
 from conftest import candidate_pairs, path_tree, star_tree
 
@@ -153,13 +154,21 @@ class TestOnePassPerRoot:
 
 def assert_stack_scores_match_direct(t):
     """Score every pair of the walk from the stacks as they stand when it
-    is yielded, and check the prefix sums; return the walk's distances in
+    is yielded, check the stacks against the root path's sizes from
+    _path_sizes and their prefix sums, and return the walk's distances in
     order.  With a floor of -1 the walk yields every pair it walks."""
-    pairs, sizes, rest, cum = _candidates(t, False, [-1, 0])
+    rank = {v: i for i, v in enumerate(t._root0[2])}
+    pairs, sizes, cum = _candidates(t, False, [-1, 0])
     distances = []
     for u, v, d in pairs:
-        assert delta_from_sizes(d, sizes, rest) == delta_direct(anatomize(t, u, v)), (u, v, d)
-        assert cum[: d + 1] == [0, *accumulate(sizes[1 : d + 1])], (u, v, d)
+        # the walk roots each pair at its endpoint later in the preorder;
+        # _path_sizes roots at its second argument and ends with that root
+        root, other = (u, v) if rank[u] > rank[v] else (v, u)
+        expected = _path_sizes(t, other, root)[1][::-1]
+        assert sizes[0] == t.n
+        assert sizes[1 : d + 1] == expected[1:], (u, v, d)
+        assert cum[: d + 1] == [0, *accumulate(expected[1:])], (u, v, d)
+        assert delta_from_sizes(d, sizes, cum) == delta_direct(anatomize(t, u, v)), (u, v, d)
         distances.append(d)
     return distances
 
@@ -173,14 +182,16 @@ def chebyshev_cap(d, n, cum):
     return Fraction(top * (half * n - cum[half]), half)
 
 
-def two_block_cap(d, sizes, rest):
-    """The walk's second cap for L = d // 2 >= 2, from the stacks: the L
-    terms of each ramp sum split into blocks of L // 2 and L - L // 2, and
-    each block capped by floor(S * R / l), with S the block's sizes summed
-    over both ramps (the one ramp of odd d twice; the far ramp of even d
-    padded with s_{d+1} = 0), R its rests and l its length."""
+def two_block_cap(d, sizes):
+    """The walk's second cap for L = d // 2 >= 2, from the sizes stack: the
+    L terms of each ramp sum split into blocks of L // 2 and L - L // 2,
+    and each block capped by floor(S * R / l), with S the block's sizes
+    summed over both ramps (the one ramp of odd d twice; the far ramp of
+    even d padded with s_{d+1} = 0), R its rests n - s_j and l its
+    length."""
     half = d // 2
     h = d - half
+    rest = [sizes[0] - s for s in sizes[1 : d + 1]]
     near = sizes[h + 1 : d + 1]
     ramps = (near, near) if d % 2 else (near, [*sizes[h + 2 : d + 1], 0])
     cap = 0
@@ -216,7 +227,7 @@ class TestSavings:
 
     @DEEP_WALK_TREES
     def test_deep_walk_backs_up_to_an_even_distance(self, t):
-        # entries of sizes, rest and cum past d are left from deeper
+        # entries of sizes and cum past d are left from deeper
         # pairs: a pair at even d that follows a deeper one reads sizes up
         # to d, and cum[d], which must be its own
         distances = assert_stack_scores_match_direct(t)
@@ -225,12 +236,12 @@ class TestSavings:
 
 def assert_cap_bounds_every_pair(t):
     # the second cap is never above the first: each tier only tightens
-    pairs, sizes, rest, cum = _candidates(t, False, [-1, 0])
+    pairs, sizes, cum = _candidates(t, False, [-1, 0])
     for u, v, d in pairs:
-        score, cap = delta_from_sizes(d, sizes, rest), chebyshev_cap(d, t.n, cum)
+        score, cap = delta_from_sizes(d, sizes, cum), chebyshev_cap(d, t.n, cum)
         assert cap >= score, (u, v, d)
         if d // 2 >= 2:
-            assert cap >= two_block_cap(d, sizes, rest) >= score, (u, v, d)
+            assert cap >= two_block_cap(d, sizes) >= score, (u, v, d)
 
 
 def watch_search(t, strategy):
@@ -238,7 +249,7 @@ def watch_search(t, strategy):
     walk with a floor of -1, which yields them all), and the set of pairs
     the walk yields to best_edge."""
     floor = [-1, 0]
-    pairs, _, _, _ = _candidates(t, strategy == "pruned", floor)
+    pairs, _, _ = _candidates(t, strategy == "pruned", floor)
     walked = [(u, v) for u, v, _ in pairs]
     assert floor[1] == len(walked)
     yielded = set()
@@ -293,12 +304,12 @@ class TestChebyshevSkip:
         # from the seed on, a pair leaves the walk iff its first cap and,
         # for L >= 2, its second cap reach the best of the pairs before it
         _, _, yielded = watch_search(t, strategy)
-        pairs, sizes, rest, cum = _candidates(t, strategy == "pruned", [-1, 0])
+        pairs, sizes, cum = _candidates(t, strategy == "pruned", [-1, 0])
         best, expected = _seed(t, strategy == "pruned")[0], set()
         for u, v, d in pairs:
-            if chebyshev_cap(d, t.n, cum) >= best and (d // 2 < 2 or two_block_cap(d, sizes, rest) >= best):
+            if chebyshev_cap(d, t.n, cum) >= best and (d // 2 < 2 or two_block_cap(d, sizes) >= best):
                 expected.add((u, v))
-                best = max(best, delta_from_sizes(d, sizes, rest))
+                best = max(best, delta_from_sizes(d, sizes, cum))
         assert yielded == expected
 
     def test_sums_under_a_twentieth_of_a_long_path(self):
@@ -317,11 +328,11 @@ class TestChebyshevSkip:
         # the walk applies the cap itself, re-reading the floor after each
         # yield, so most pairs never leave it
         floor = [-1, 0]
-        pairs, sizes, rest, _ = _candidates(random_labeled_tree(80, 11), strategy == "pruned", floor)
+        pairs, sizes, cum = _candidates(random_labeled_tree(80, 11), strategy == "pruned", floor)
         yielded = 0
         for _, _, d in pairs:
             yielded += 1
-            floor[0] = max(floor[0], delta_from_sizes(d, sizes, rest))
+            floor[0] = max(floor[0], delta_from_sizes(d, sizes, cum))
         assert 0 < yielded < floor[1] // 4
 
 

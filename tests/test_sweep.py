@@ -1,4 +1,5 @@
 import random
+from itertools import accumulate
 
 import pytest
 from hypothesis import assume, given, settings
@@ -202,13 +203,13 @@ def reference_sweep(tree, x, y, counter=None):
     def record(lo, hi):
         # the depth stacks of the root path [n, c_{hi-1}, ..., c_lo]
         sizes = [n, *reversed(size[lo:hi])]
-        rest = [n - s for s in sizes[1:]]
+        cum = [0, *accumulate(sizes[1:])]
         d = hi - lo
         if counter is not None:
             # d // 2 terms per ramp sum: one sum for odd d, two for even d
             counter.add(d // 2 if d % 2 else d)
         return DeltaRecord(
-            x=path[lo], y=path[hi], k=hi - lo + 1, d_prime=delta_from_sizes(d, sizes, rest)
+            x=path[lo], y=path[hi], k=hi - lo + 1, d_prime=delta_from_sizes(d, sizes, cum)
         )
 
     return (
