@@ -98,7 +98,12 @@ def _sweep_size(text: str) -> int:
 
 
 def _load(path: str) -> Tree:
-    with open(path, "r", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except ValueError as exc:
+        # a path open cannot name at all, such as one with a NUL byte
+        raise OSError(f"cannot open {path!r}: {exc}") from None
+    with fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:

@@ -17,7 +17,10 @@ sizes per call and, as the roots advance in preorder, writes each
 ancestor's rooted size over its entry and restores the entry once the
 preorder leaves the ancestor's subtree: O(n) writes over the whole walk.
 So each root costs one walk over the vertices it pairs with, and no
-rooted pass, size copy or ancestor climb of its own.
+rooted pass, size copy or ancestor climb of its own.  The walk reads the
+kept root-0 pass relabelled by preorder rank (Tree._preorder), which
+each tree builds once, so a tree searched with both strategies, and
+again, pays for it once.
 
 The walk keeps the sizes along the current path in two depth stacks,
 allocated once per walk: sizes[j] = s_j (sizes[0] = n) and the prefix
@@ -40,11 +43,15 @@ scores, and yields only pairs whose caps reach it; each comparison is in
 integers and not strict, so a pair that ties the best is always yielded
 and scored, and the report is the one the exact sums alone give.
 best_edge starts that best at a seed: the exact score of the best
-diagonal pair (p_i, p_{D-i}) of one diameter p_0 ... p_D, found by one
-height pass over the root-0 preorder and scored from _path_sizes, and,
-with pruning, only among the pairs the rule keeps.  The walk meets the
-seed's pair again and yields it, at least as a tie, so the seed changes
-which pairs are summed and not the report.  best_edge scores each
+diagonal pair (p_i, p_{D-i}) of the diameter p_0 ... p_D the tree keeps
+(Tree._diameter), and, with pruning, only among the pairs the rule
+keeps.  The diagonals are the nested family sweep.py scores, so _seed
+takes all their savings from sweep's one big-integer product
+(_family_savings) and picks the first best with max and list.index.  A
+diameter's ends are leaves and its inner vertices are not, so the rule
+can drop only the outermost pair (p_0, p_D).  The walk meets the seed's
+pair again and yields it, at least as a tie, so the seed changes which
+pairs are summed and not the report.  best_edge scores each
 yielded pair from sizes and cum with delta.delta_from_sizes, one or two
 slices and C-level sums.  The walk counts every pair it walks, yielded
 or not, and that count is evaluated.  pruning_ratio and the oracle
@@ -58,13 +65,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
 from typing import Iterator
 
 from .delta import delta_direct, delta_from_sizes
 from .errors import NoCandidates, RouteMismatch
 from .oracle import delta_oracle
-from .tree import Tree, _path_sizes, anatomize
+from .sweep import _family_savings
+from .tree import Tree, anatomize
 
 PRUNE_EXCEPTION_DISTANCES = frozenset({2, 3, 4, 6})
 
@@ -141,18 +148,9 @@ def _walk(
 ) -> Iterator[tuple[int, int, int]]:
     """The pairs of _candidates, writing the stacks it is given."""
     n = tree.n
-    parent0, size0, order = tree._root0
-    # relabel by preorder rank: a parent comes before its children, and
-    # each subtree is the run of ranks from its root to its root + size - 1
-    rank = [0] * n
-    for i, v in enumerate(order):
-        rank[v] = i
-    parent = [rank[parent0[v]] for v in order]
-    size = [size0[v] for v in order]
-    leaf = [len(tree.adjacency[v]) == 1 for v in order]
-    depth = [0] * n
-    for i in range(1, n):
-        depth[i] = depth[parent[i]] + 1
+    # in preorder ranks: each subtree is the run of ranks from its root to
+    # its root + size - 1
+    order, parent, size, leaf, depth = tree._preorder
     # rooted at r, only an ancestor's subtree changes: it is everything
     # outside the root-0 subtree of its child toward r.  rooted holds those
     # sizes for the ancestors of the current root and root-0 sizes for
@@ -237,46 +235,20 @@ def _walk(
 
 def _seed(tree: Tree, pruned: bool) -> tuple[int, tuple[int, int]]:
     """A first running best for the walk: the best exact savings among the
-    diagonal pairs (p_i, p_{D-i}), D - 2i >= 2, of one diameter p_0 ... p_D
-    of the tree (n >= 3), and its pair (u, v), u < v; with pruned, only
-    pairs the pruning rule keeps.  (-1, (0, 0)) when there is no such
-    pair.
-
-    The diameter comes from one height pass over the kept root-0 preorder,
-    and the sizes along it from _path_sizes, so no rooted pass is made."""
-    n = tree.n
-    parent, _, order = tree._root0
-    # height[v]: how far below v its deepest vertex merged so far, deep[v],
-    # lies; children come after their parent in the preorder
-    height = [0] * n
-    deep = list(range(n))
-    longest, ends = 0, (0, 0)
-    for v in order[:0:-1]:
-        p = parent[v]
-        h = height[v] + 1
-        if height[p] + h > longest:
-            longest, ends = height[p] + h, (deep[p], deep[v])
-        if h > height[p]:
-            height[p], deep[p] = h, deep[v]
-    path, size = _path_sizes(tree, *ends)
-    # rooted at p_{D-i}, the pair's root path p_{D-i}, ..., p_i has sizes
-    # n, c_{D-i-1}, ..., c_i (see sweep.py): the reversed sizes from index
-    # i on, once entry i (c_{D-i}, which no later pair reads) is set to n.
-    # Its cum is the reversed sizes' prefix sums from index i + 1 on, all
-    # off by their first entry: delta_from_sizes reads only differences
-    sizes = size[::-1]
-    prefix = list(accumulate(sizes, initial=0))
-    adjacency = tree.adjacency
-    best, pair = -1, (0, 0)
-    for i in range(longest // 2):
-        d, x, y = longest - 2 * i, path[i], path[longest - i]
-        if pruned and d not in PRUNE_EXCEPTION_DISTANCES and (len(adjacency[x]) == 1 or len(adjacency[y]) == 1):
-            continue
-        sizes[i] = n
-        score = delta_from_sizes(d, sizes[i : longest - i + 1], prefix[i + 1 : longest - i + 2])
-        if score > best:
-            best, pair = score, (x, y) if x < y else (y, x)
-    return best, pair
+    diagonal pairs (p_i, p_{D-i}), D - 2i >= 2, of the tree's kept diameter
+    p_0 ... p_D (n >= 3), and its pair (u, v), u < v, the first i on a tie;
+    with pruned, only pairs the pruning rule keeps.  All the diagonals are
+    scored from one product, as sweep_path scores its diagonal family."""
+    path, size = tree._diameter
+    D = len(path) - 1
+    savings = list(_family_savings(size, tree.n, ((0, D),))[0])
+    # a diameter's ends are leaves and its inner vertices are not, so the
+    # rule can drop only the outermost pair (p_0, p_D)
+    first = 1 if pruned and D not in PRUNE_EXCEPTION_DISTANCES else 0
+    best = max(savings[first:])
+    i = savings.index(best, first)
+    x, y = path[i], path[D - i]
+    return best, (x, y) if x < y else (y, x)
 
 
 def best_edge(tree: Tree, strategy: str = "exhaustive") -> SearchReport:

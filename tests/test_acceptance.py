@@ -7,6 +7,7 @@ frozen from the brute-force oracle before the formula modules were written.
 
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -37,6 +38,8 @@ from insetedge.search import best_edge
 from conftest import path_tree, spider_tree, star_tree
 
 ARTIFACT_DIR = Path(__file__).parent / "artifacts"
+# the CLI subprocesses import this checkout, as pytest's own path does
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def announce(capsys, number: int, ok: bool, detail: str) -> None:
@@ -281,6 +284,7 @@ def test_criterion_9_cli_determinism(capsys, tmp_path):
         for _ in range(4):
             proc = subprocess.run(
                 [sys.executable, "-m", "insetedge.cli", *argv],
+                env=dict(os.environ, PYTHONPATH=str(SRC)),
                 capture_output=True,
             )
             if proc.returncode != 0:

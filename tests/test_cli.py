@@ -398,6 +398,15 @@ class TestErrors:
         assert code == 1
         assert "error" in out
 
+    @pytest.mark.parametrize("command", ["wiener", "best", "delta", "verify", "sweep"])
+    def test_nul_byte_in_file_name(self, capsys, command):
+        # open raises ValueError, not OSError, for a path with a NUL byte
+        argv = {"delta": ["-e", "0", "2"], "sweep": ["-p", "0", "2"]}.get(command, [])
+        code, out = run(capsys, command, "\x00", *argv)
+        assert code == 1
+        assert out["error"] == "OSError"
+        assert "null byte" in out["message"]
+
     def test_malformed(self, capsys, tmp_path):
         f = tmp_path / "bad.tree"
         f.write_text("not a tree\n")

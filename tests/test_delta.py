@@ -111,7 +111,8 @@ class TestDeltaFromSizes:
     def test_matches_direct_with_any_cum_offset(self, seed):
         # the stacks of each pair's root path with other entries past d, as
         # the search walk leaves them, and cum shifted by a constant, as
-        # search._seed passes it: the scorer reads cum only in differences
+        # the per-diagonal seed reference in test_search.py passes it: the
+        # scorer reads cum only in differences
         t = random_labeled_tree(40, seed)
         rng = random.Random(seed)
         for u in range(t.n):

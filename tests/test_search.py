@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from itertools import accumulate
 
@@ -363,6 +364,117 @@ class TestSeed:
         scores = [delta_direct(anatomize(t, *p)) for p in diagonals]
         best = max(scores)
         assert _seed(t, strategy == "pruned") == (best, diagonals[scores.index(best)])
+
+
+def reference_seed(t, pruned):
+    """The seed scored one diagonal at a time: each pair (p_i, p_{D-i}) of
+    the tree's kept diameter, D - 2i >= 2, with its own delta_from_sizes
+    call, the pruning rule tested on both ends, and the first best i kept.
+    Rooted at p_{D-i}, the pair's root path has sizes n, c_{D-i-1}, ...,
+    c_i: the reversed sizes from index i on, once entry i is set to n.  Its
+    cum is the reversed sizes' prefix sums from index i + 1 on, all off by
+    their first entry, which delta_from_sizes allows."""
+    path, size = t._diameter
+    D = len(path) - 1
+    leaf = leaves(t)
+    sizes = size[::-1]
+    prefix = list(accumulate(sizes, initial=0))
+    best, pair = -1, (0, 0)
+    for i in range(D // 2):
+        d, x, y = D - 2 * i, path[i], path[D - i]
+        if pruned and d not in (2, 3, 4, 6) and leaf & {x, y}:
+            continue
+        sizes[i] = t.n
+        score = delta_from_sizes(d, sizes[i : D - i + 1], prefix[i + 1 : D - i + 2])
+        if score > best:
+            best, pair = score, (min(x, y), max(x, y))
+    return best, pair
+
+
+def spine_tree(n, spine, seed):
+    # a path of spine vertices, the others hung at random below earlier ones
+    rng = random.Random(seed)
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    edges += [(rng.randrange(v), v) for v in range(spine, n)]
+    return Tree.from_edges(n, edges)
+
+
+def assert_seed_matches_reference(t):
+    path, _ = t._diameter
+    # the kept diameter is a longest path, and its ends are leaves
+    assert len(path) - 1 == max(max(bfs_distances(t, u)) for u in range(t.n))
+    assert len(t.adjacency[path[0]]) == len(t.adjacency[path[-1]]) == 1
+    for pruned in (False, True):
+        assert _seed(t, pruned) == reference_seed(t, pruned), pruned
+
+
+class TestSeedFromOneProduct:
+    @given(t=savings_trees().filter(lambda t: t.n >= 4))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_per_diagonal_scorer(self, t):
+        assert_seed_matches_reference(t)
+
+    @pytest.mark.parametrize(
+        "t",
+        [
+            *(spine_tree(n, spine, seed) for n, spine in ((40, 20), (80, 40), (80, 60)) for seed in range(3)),
+            *(star_tree(n) for n in (3, 4, 5, 12)),
+            comb_tree(5, 4),
+            comb_tree(3, 7),
+        ],
+    )
+    def test_spines_stars_and_combs(self, t):
+        assert_seed_matches_reference(t)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9, 10, 11, 14])
+    def test_pruned_drops_only_the_outermost_diagonal(self, n):
+        # P_n's diameter is the path, D = n - 1: the rule keeps D in {2, 3}
+        # (P_3, P_4) and drops (0, D) for D = 5 and D >= 7
+        t = path_tree(n)
+        assert_seed_matches_reference(t)
+        D = n - 1
+        full = reference_seed(t, False)
+        dropped = [(i, D - i) for i in range(1, D // 2)]
+        if D in (2, 3, 4, 6):
+            assert _seed(t, True) == full
+        else:
+            scores = [delta_direct(anatomize(t, *p)) for p in dropped]
+            assert _seed(t, True) == (max(scores), dropped[scores.index(max(scores))])
+
+
+def count_builds(monkeypatch, name):
+    """Count the builds of one of Tree's kept properties (tree._kept): a
+    list that gets the tree each time the property's function runs."""
+    prop = Tree.__dict__[name]
+    build, calls = prop.func, []
+
+    def counting(tree):
+        calls.append(tree)
+        return build(tree)
+
+    monkeypatch.setattr(prop, "func", counting)
+    return calls
+
+
+class TestViewsBuiltOncePerTree:
+    def test_searches_and_ratio_build_the_view_once(self, monkeypatch):
+        views, diameters = count_builds(monkeypatch, "_preorder"), count_builds(monkeypatch, "_diameter")
+        t = random_labeled_tree(40, 9)
+        first = best_edge(t), best_edge(t, "pruned"), pruning_ratio(t)
+        assert views == diameters == [t]
+        # a second round reads both again
+        assert (best_edge(t), best_edge(t, "pruned"), pruning_ratio(t)) == first
+        assert views == diameters == [t]
+
+    def test_ratio_and_sweep_build_no_diameter(self, monkeypatch):
+        views, diameters = count_builds(monkeypatch, "_preorder"), count_builds(monkeypatch, "_diameter")
+        t = random_labeled_tree(40, 9)
+        pruning_ratio(t)
+        assert views == [t]
+        swept = path_tree(30)
+        sweep_path(swept, 0, 29)
+        sweep_path(swept, 3, 20)
+        assert views == [t] and diameters == []
 
 
 class TestOracleStrategy:
