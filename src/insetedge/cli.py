@@ -37,8 +37,8 @@ VERIFY_MAX_N = 64
 # largest tree `delta --method oracle` accepts: on the path the command
 # takes about 0.4 s at n = 512, 0.9-1.2 s at 1024 and 3.7-5.0 s at 2048
 ORACLE_MAX_N = 1024
-# largest `bounds --n`: the audit grows about as n^3, 0.5 s at n = 512 and
-# about 4 s at n = 1024
+# largest `bounds --n`: the command takes 0.2-0.3 s at n = 512 and
+# 0.4-0.7 s at n = 1024
 BOUNDS_MAX_N = 1024
 # largest `bounds --exhaustive-limit`: the scan visits all n^(n-2) labeled
 # trees, about 1 s at n = 8 and 20 s at n = 9
@@ -59,11 +59,12 @@ BENCH_MAX_SIZES = 8
 # direct`: the O(k^2) delta_direct takes about 1.6-2.3 s at k = n = 16384
 # and 6.3 s at 32768
 EXTREMAL_MAX_N = 16384
-# largest `random --n`: one tree takes about 0.6 s and 60 MiB at 100000,
-# 10 s and 450 MiB at 10^6
+# largest `random --n`: one tree takes 0.8-1.0 s and 68 MiB at 100000,
+# 9 s and 535 MiB at 10^6
 RANDOM_MAX_N = 100000
-# largest `random` n * count: about 1.1 s for 10000 trees of 50, 3.3 s for
-# 5 trees of 100000, 2.9-3.1 s for `--stats pruning` on 125000 trees of 4
+# largest `random` n * count: 1.4-2.5 s for 10000 trees of 50, 3.5-4.8 s
+# and 102 MiB for 5 trees of 100000, 3.4-4.7 s for `--stats pruning` on
+# 125000 trees of 4
 RANDOM_MAX_VERTICES = 500000
 # largest n^2 * count for `random --stats pruning`, which walks O(n^2)
 # pairs per tree: 0.9-1.3 s at n = 3162, count 1 and 1.4 s at n = 1000,

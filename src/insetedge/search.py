@@ -18,9 +18,8 @@ ancestor's rooted size over its entry and restores the entry once the
 preorder leaves the ancestor's subtree: O(n) writes over the whole walk.
 So each root costs one walk over the vertices it pairs with, and no
 rooted pass, size copy or ancestor climb of its own.  The walk reads the
-kept root-0 pass relabelled by preorder rank (Tree._preorder), which
-each tree builds once, so a tree searched with both strategies, and
-again, pays for it once.
+kept root-0 pass (Tree._root0), which Tree.from_edges stores in preorder
+ranks, so a search builds no view of the tree of its own.
 
 The walk keeps the sizes along the current path in two depth stacks,
 allocated once per walk: sizes[j] = s_j (sizes[0] = n) and the prefix
@@ -150,7 +149,7 @@ def _walk(
     n = tree.n
     # in preorder ranks: each subtree is the run of ranks from its root to
     # its root + size - 1
-    order, parent, size, leaf, depth = tree._preorder
+    order, _, parent, size, leaf, depth = tree._root0
     # rooted at r, only an ancestor's subtree changes: it is everything
     # outside the root-0 subtree of its child toward r.  rooted holds those
     # sizes for the ancestors of the current root and root-0 sizes for

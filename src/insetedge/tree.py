@@ -4,21 +4,20 @@ Vertex ids are 0-based everywhere.  Cycle indices (the x_i / y_j positions
 around the cycle created by a shortcut edge) are 1-based in the math but
 stored 0-based in tuples: x_side[0] is the x anchor itself.
 
-A Tree keeps what it learns about itself in properties built on first use
-and then kept (_kept), each from the one depth-first pass rooted at
-vertex 0 (_root0): that pass, which anatomize, _path_sizes and
-wiener_tree_linear read; the preorder view (_preorder), the same pass
-relabelled by preorder rank, which the search walks; and one diameter
-with its subtree sizes (_diameter), which seeds best_edge.  The view and
-the diameter are separate, so a tree that is only swept never builds
-either, and pruning_ratio, which walks without a seed, never builds the
-diameter.
+A Tree keeps one depth-first pass rooted at vertex 0 (_root0), in
+preorder ranks, which from_edges makes for its connectivity check:
+_path_sizes, anatomize, wiener_tree_linear, the diameter and the search
+walk all read it, and no other pass is made on a built tree except by
+bfs_distances.  The one lazily built property is a diameter with its
+subtree sizes (_diameter), which seeds best_edge; a tree that is only
+swept, or only walked by pruning_ratio, never builds it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from functools import cached_property
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     AdjacentPair,
@@ -30,37 +29,26 @@ from .errors import (
 )
 
 
-class _kept:
-    """A property computed on first use and then kept in the instance's
-    __dict__, which later lookups read without calling it: what
-    functools.cached_property does, without the lock Python 3.11's takes
-    on each first use.  With that lock, `inset random --n 4 --stats
-    pruning` took about 9% longer per tree (shared 2-core x86-64 machine,
-    Python 3.11), as each tree builds both _root0 and _preorder."""
-
-    def __init__(self, func):
-        self.func = func
-        self.name = func.__name__
-        self.__doc__ = func.__doc__
-
-    def __get__(self, tree, owner=None):
-        if tree is None:
-            return self
-        value = tree.__dict__[self.name] = self.func(tree)
-        return value
-
-
 @dataclass(frozen=True)
 class Tree:
     """Immutable tree: n vertices 0..n-1, n-1 edges, connected.
 
     Built only by from_edges, which stores each edge as (min, max) and the
     edges sorted.  Equal and hashed by (n, edges): adjacency follows the
-    order the edges were given in, so it takes no part in either."""
+    order the edges were given in, so it takes no part in either, nor does
+    the pass rooted at vertex 0 made from it.
+
+    _root0 is that pass in preorder ranks: (order, rank, parent, size,
+    leaf, depth).  Rank i is vertex order[i] and rank[v] is v's rank; the
+    rest are indexed by rank: parent ranks (parent[0] == 0), subtree sizes
+    (size[i] counts i and every rank below it), whether each is a leaf and
+    its depth below vertex 0.  A parent comes before its children, and
+    each subtree is the run of ranks from its root to its root + size - 1."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
     adjacency: tuple[tuple[int, ...], ...] = field(compare=False)
+    _root0: tuple[list[int], list[int], list[int], list[int], list[bool], list[int]] = field(compare=False, repr=False)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Tree":
@@ -82,66 +70,38 @@ class Tree:
             norm.append(key)
             adj[u].append(v)
             adj[v].append(u)
-        tree = cls(n, tuple(sorted(norm)), tuple(tuple(a) for a in adj))
+        order, parent, rank = _rooted(adj, 0)
         # n-1 edges and no duplicates: connected iff acyclic
-        reached = n - tree._root0[0].count(-1)
-        if reached != n:
-            raise NotATree(f"graph is disconnected ({reached} of {n} reached)")
-        return tree
+        if len(order) != n:
+            raise NotATree(f"graph is disconnected ({len(order)} of {n} reached)")
+        size = [1] * n
+        for i in range(n - 1, 0, -1):
+            size[parent[i]] += size[i]
+        leaf = [len(adj[v]) == 1 for v in order]
+        root0 = order, rank, parent, size, leaf, _depths(parent)
+        return cls(n, tuple(sorted(norm)), tuple(tuple(a) for a in adj), root0)
 
-    @_kept
-    def _root0(self) -> tuple[list[int], list[int], list[int]]:
-        """The pass rooted at vertex 0, made once per tree and kept: parent
-        pointers (parent[0] == 0, -1 for vertices not reached), subtree
-        sizes (size[v] counts v and every vertex below it) and the
-        preorder."""
-        parent, order = _rooted(self, 0)
-        size = [1] * self.n
-        for v in reversed(order[1:]):
-            size[parent[v]] += size[v]
-        return parent, size, order
-
-    @_kept
-    def _preorder(self) -> tuple[list[int], list[int], list[int], list[bool], list[int]]:
-        """The kept root-0 pass relabelled by preorder rank, for the search:
-        order (rank i is vertex order[i]), then parent ranks (parent[0] ==
-        0), subtree sizes, whether each is a leaf and its depth below
-        vertex 0, all indexed by rank.  A parent comes before its children,
-        and each subtree is the run of ranks from its root to its root +
-        size - 1."""
-        n = self.n
-        parent0, size0, order = self._root0
-        rank = [0] * n
-        for i, v in enumerate(order):
-            rank[v] = i
-        parent = [rank[parent0[v]] for v in order]
-        depth = [0] * n
-        for i in range(1, n):
-            depth[i] = depth[parent[i]] + 1
-        adjacency = self.adjacency
-        return order, parent, [size0[v] for v in order], [len(adjacency[v]) == 1 for v in order], depth
-
-    @_kept
+    @cached_property
     def _diameter(self) -> tuple[list[int], list[int]]:
         """One longest path p_0, ..., p_D (n >= 3, so D >= 2) and, with the
         tree rooted at p_D, the subtree size of each p_i: _path_sizes of
-        its ends, found by one height pass over the kept root-0 preorder,
-        so no rooted pass is made.  Both ends are leaves, and no inner
-        vertex of a path is one."""
-        parent, _, order = self._root0
-        # height[v]: how far below v its deepest vertex merged so far,
-        # deep[v], lies; children come after their parent in the preorder
+        its ends, found by one height pass over the kept root-0 pass, so
+        no rooted pass is made.  Both ends are leaves, and no inner vertex
+        of a path is one."""
+        order, _, parent, _, _, _ = self._root0
+        # in ranks: height[i] is how far below i its deepest rank merged so
+        # far, deep[i], lies; children come after their parent
         height = [0] * self.n
         deep = list(range(self.n))
         longest, ends = 0, (0, 0)
-        for v in order[:0:-1]:
-            p = parent[v]
-            h = height[v] + 1
+        for i in range(self.n - 1, 0, -1):
+            p = parent[i]
+            h = height[i] + 1
             if height[p] + h > longest:
-                longest, ends = height[p] + h, (deep[p], deep[v])
+                longest, ends = height[p] + h, (deep[p], deep[i])
             if h > height[p]:
-                height[p], deep[p] = h, deep[v]
-        return _path_sizes(self, *ends)
+                height[p], deep[p] = h, deep[i]
+        return _path_sizes(self, order[ends[0]], order[ends[1]])
 
     def check_ids(self, *ids: int) -> None:
         """Raise IdOutOfRange unless every id is a vertex 0..n-1."""
@@ -211,23 +171,37 @@ def serialize_tree(tree: Tree) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _rooted(tree: Tree, root: int) -> tuple[list[int], list[int]]:
-    """One depth-first pass from root: parent pointers (parent[root] ==
-    root, -1 for vertices not reached) and the preorder, in which every
-    vertex comes after its parent and each subtree is a contiguous run."""
-    parent = [-1] * tree.n
-    parent[root] = root
-    order = []
+def _rooted(adjacency: Sequence[Sequence[int]], root: int) -> tuple[list[int], list[int], list[int]]:
+    """One depth-first pass from root, in preorder ranks: the order
+    (rank i is vertex order[i]), parent ranks (parent[0] == 0) and rank
+    (vertex -> rank, -1 for vertices not reached).  Every vertex comes
+    after its parent and each subtree is a contiguous run of ranks."""
+    # rank doubles as the visited mark: a pushed vertex holds its parent's
+    # rank until it is popped
+    rank = [-1] * len(adjacency)
+    rank[root] = 0
+    order: list[int] = []
+    parent: list[int] = []
     stack = [root]
-    adj = tree.adjacency
     while stack:
         u = stack.pop()
+        i = len(order)
+        parent.append(rank[u])
+        rank[u] = i
         order.append(u)
-        for w in adj[u]:
-            if parent[w] < 0:
-                parent[w] = u
+        for w in adjacency[u]:
+            if rank[w] < 0:
+                rank[w] = i
                 stack.append(w)
-    return parent, order
+    return order, parent, rank
+
+
+def _depths(parent: list[int]) -> list[int]:
+    """Depth below the root of each rank, from the parent ranks of a pass."""
+    depth = [0] * len(parent)
+    for i in range(1, len(parent)):
+        depth[i] = depth[parent[i]] + 1
+    return depth
 
 
 def wiener_tree_linear(tree: Tree) -> int:
@@ -236,17 +210,15 @@ def wiener_tree_linear(tree: Tree) -> int:
     size(v) * (n - size(v))."""
     n = tree.n
     # the root's own term is n * 0
-    return sum(s * (n - s) for s in tree._root0[1])
+    return sum(s * (n - s) for s in tree._root0[3])
 
 
 def bfs_distances(tree: Tree, source: int) -> list[int]:
     """Distances from source to every vertex."""
     tree.check_ids(source)
-    parent, order = _rooted(tree, source)
-    dist = [0] * tree.n
-    for v in order[1:]:
-        dist[v] = dist[parent[v]] + 1
-    return dist
+    _, parent, rank = _rooted(tree.adjacency, source)
+    depth = _depths(parent)
+    return [depth[i] for i in rank]
 
 
 def _check_pair(tree: Tree, x: int, y: int) -> None:
@@ -263,13 +235,13 @@ def _path_sizes(tree: Tree, x: int, y: int) -> tuple[list[int], list[int]]:
     a vertex's subtree is everything outside the root-0 subtree of its
     successor on the path.  Raises AdjacentPair unless d_T(x, y) >= 2."""
     _check_pair(tree, x, y)
-    parent, size, _ = tree._root0
-    up, down = [x], [y]
-    a, b = x, y
-    # a proper ancestor has the larger subtree, so the smaller side never
+    order, rank, parent, size, _, _ = tree._root0
+    a, b = rank[x], rank[y]
+    up, down = [a], [b]
+    # a proper ancestor has the smaller rank, so the later side never
     # climbs past the common ancestor
     while a != b:
-        if size[a] < size[b]:
+        if a > b:
             a = parent[a]
             up.append(a)
         else:
@@ -281,10 +253,10 @@ def _path_sizes(tree: Tree, x: int, y: int) -> tuple[list[int], list[int]]:
     if len(up) + len(down) == 2:
         raise AdjacentPair(f"({x}, {y}) is an edge of the tree")
     n = tree.n
-    sizes = [size[v] for v in up]
-    sizes += [n - size[v] for v in down[1:]]
+    sizes = [size[i] for i in up]
+    sizes += [n - size[i] for i in down[1:]]
     sizes.append(n)
-    return up + down, sizes
+    return [order[i] for i in up + down], sizes
 
 
 def anatomize(tree: Tree, x: int, y: int) -> CycleAnatomy:

@@ -25,15 +25,16 @@ def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> SimpleGraph:
 
 def path_between(tree: Tree, x: int, y: int) -> list[int]:
     """The unique simple path from x to y, inclusive, from a pass of its
-    own: the tree rooted at y, climbed by parent pointers from x."""
+    own: the tree rooted at y (rank 0), climbed by parent ranks from x."""
     if x == y:
         raise SameVertex(f"x == y == {x}")
     tree.check_ids(x, y)
-    parent = _rooted(tree, y)[0]
+    order, parent, rank = _rooted(tree.adjacency, y)
+    i = rank[x]
     path = [x]
-    while x != y:
-        x = parent[x]
-        path.append(x)
+    while i:
+        i = parent[i]
+        path.append(order[i])
     return path
 
 

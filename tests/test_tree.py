@@ -84,9 +84,15 @@ class TestParse:
             parse_tree("3\n0 1\n1 7\n")
 
     def test_disconnected(self):
-        # 3 edges on 4 vertices, but vertex 0 is isolated (cycle on 1,2,3)
-        with pytest.raises(NotATree):
-            parse_tree("4\n1 2\n2 3\n1 3\n")
+        for text, reached in (
+            # 3 edges on 4 vertices, but vertex 0 is isolated (cycle on 1,2,3)
+            ("4\n1 2\n2 3\n1 3\n", "1 of 4"),
+            # vertex 0 reaches 1 only; 2, 3 and 4 close a cycle
+            ("5\n0 1\n2 3\n3 4\n2 4\n", "2 of 5"),
+        ):
+            with pytest.raises(NotATree) as exc:
+                parse_tree(text)
+            assert str(exc.value) == f"graph is disconnected ({reached} reached)"
 
     def test_self_loop(self):
         with pytest.raises(NotATree):
@@ -286,6 +292,28 @@ class TestKeptRootedPass:
                     sweep_path(t, x, y)
         wiener_tree_linear(t)
         assert roots == []
+
+
+class TestRootedPass:
+    @given(t=TestPathSizes.trees)
+    @settings(max_examples=40, deadline=None)
+    def test_preorder_ranks(self, t):
+        order, rank, parent, size, leaf, depth = t._root0
+        n = t.n
+        assert sorted(order) == list(range(n))
+        assert [rank[v] for v in order] == list(range(n))
+        assert parent[0] == 0
+        for i in range(1, n):
+            assert parent[i] < i and order[parent[i]] in t.adjacency[order[i]]
+        # v is below u, rooted at 0, exactly when u lies on v's path to 0
+        d0 = bfs_distances(t, 0)
+        for u in range(n):
+            du = bfs_distances(t, u)
+            i = rank[u]
+            below = {order[j] for j in range(i, i + size[i])}
+            assert below == {v for v in range(n) if d0[v] == d0[u] + du[v]}
+        assert [depth[rank[v]] for v in range(n)] == d0
+        assert {v for v in range(n) if leaf[rank[v]]} == leaves(t)
 
 
 class TestLeaves:
