@@ -50,8 +50,8 @@ EXHAUSTIVE_MAX_N = 8
 # takes 1.3-1.4 s (a loaded shared 2-core machine)
 BEST_MAX_N = 2048
 # largest `bench` size, and largest path length k of `sweep`: `bench` takes
-# 0.6-1.0 s and 38 MiB peak at 32768, 2.0-2.4 s and 61 MiB at 65536;
-# `sweep` 1.0-1.5 s and 66 MiB at 32768, printing 49149 records
+# 0.3-0.4 s and 35 MiB peak at 32768, 0.6-0.8 s and 53 MiB at 65536;
+# `sweep` 0.5-0.6 s and 62 MiB at 32768, printing 49149 records
 BENCH_MAX_SIZE = 32768
 # most `bench --sizes` values: eight sizes of 32768 take about 5 s
 BENCH_MAX_SIZES = 8
@@ -59,11 +59,11 @@ BENCH_MAX_SIZES = 8
 # direct`: the O(k^2) delta_direct takes about 1.6-2.3 s at k = n = 16384
 # and 6.3 s at 32768
 EXTREMAL_MAX_N = 16384
-# largest `random --n`: one tree takes 0.8-1.0 s and 68 MiB at 100000,
-# 9 s and 535 MiB at 10^6
+# largest `random --n`: one tree takes 0.7 s and 59 MiB at 100000, 11 s
+# and 438 MiB at 10^6
 RANDOM_MAX_N = 100000
-# largest `random` n * count: 1.4-2.5 s for 10000 trees of 50, 3.5-4.8 s
-# and 102 MiB for 5 trees of 100000, 3.4-4.7 s for `--stats pruning` on
+# largest `random` n * count: 1.3-1.5 s for 10000 trees of 50, 3.0-3.2 s
+# and 93 MiB for 5 trees of 100000, 2.5-2.6 s for `--stats pruning` on
 # 125000 trees of 4
 RANDOM_MAX_VERTICES = 500000
 # largest n^2 * count for `random --stats pruning`, which walks O(n^2)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import IdOutOfRange, OutOfDomain
-from .tree import Tree, leaves
+from .tree import Tree
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -80,13 +80,17 @@ def prufer_decode(n: int, code: Sequence[int]) -> list[tuple[int, int]]:
     return edges
 
 
+def _prufer_code(n: int, seed: int) -> list[int]:
+    """The uniform Prüfer code random_labeled_tree decodes for (n, seed)."""
+    rng = SplitMix64(seed)
+    return [rng.below(n) for _ in range(n - 2)]
+
+
 def random_labeled_tree(n: int, seed: int) -> Tree:
     """Uniform over all n^(n-2) labeled trees; deterministic per seed."""
     if n < 2:
         raise OutOfDomain(f"n={n} < 2")
-    rng = SplitMix64(seed)
-    code = [rng.below(n) for _ in range(n - 2)]
-    return Tree.from_edges(n, prufer_decode(n, code))
+    return Tree.from_edges(n, prufer_decode(n, _prufer_code(n, seed)))
 
 
 @dataclass(frozen=True)
@@ -117,18 +121,20 @@ def exact_leaf_mean(n: int) -> float:
 
 
 def leaf_stats(n: int, samples: int, seed: int) -> tuple[float, float]:
-    """(sample mean, standard error) of the leaf count over `samples` trees.
+    """(sample mean, standard error) of the leaf count over the `samples`
+    trees of Corpus(n, seed, samples).
 
-    The asymptotic expectation is n/e; the exact finite-n mean is
-    exact_leaf_mean(n).
+    Each tree's leaves are the vertices absent from its Prüfer code, so
+    the count is n minus the code's number of distinct entries, and no
+    tree is built.  The asymptotic expectation is n/e; the exact finite-n
+    mean is exact_leaf_mean(n).
     """
     if n < 3 or samples < 1:
         raise OutOfDomain(f"n={n}, samples={samples}")
     total = 0
     total_sq = 0
-    corpus = Corpus(n=n, seed=seed, count=samples)
-    for tree in corpus.trees():
-        c = len(leaves(tree))
+    for i in range(samples):
+        c = n - len(set(_prufer_code(n, stream_seed(seed, i))))
         total += c
         total_sq += c * c
     mean = total / samples

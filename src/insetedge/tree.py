@@ -4,13 +4,17 @@ Vertex ids are 0-based everywhere.  Cycle indices (the x_i / y_j positions
 around the cycle created by a shortcut edge) are 1-based in the math but
 stored 0-based in tuples: x_side[0] is the x anchor itself.
 
-A Tree keeps one depth-first pass rooted at vertex 0 (_root0), in
-preorder ranks, which from_edges makes for its connectivity check:
-_path_sizes, anatomize, wiener_tree_linear, the diameter and the search
-walk all read it, and no other pass is made on a built tree except by
-bfs_distances.  The one lazily built property is a diameter with its
-subtree sizes (_diameter), which seeds best_edge; a tree that is only
-swept, or only walked by pruning_ratio, never builds it.
+A Tree keeps its adjacency, in the order the edges were given, and one
+depth-first pass rooted at vertex 0 (_root0), in preorder ranks, which
+from_edges makes for its connectivity check: _path_sizes, anatomize,
+wiener_tree_linear, the diameter and the search walk all read it, and no
+other pass is made on a built tree except by bfs_distances.  Above 256
+vertices every int in the two is one of n + 1 shared objects, so a tree
+keeps about 140 bytes a vertex (64-bit CPython 3.11).  Two properties
+are built on first use: the sorted edge tuple (edges), which equality,
+hashing and serialize_tree read, and a diameter with its subtree sizes
+(_diameter), which seeds best_edge.  A tree that is only swept,
+searched or walked by pruning_ratio never builds edges.
 """
 
 from __future__ import annotations
@@ -29,35 +33,41 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tree:
     """Immutable tree: n vertices 0..n-1, n-1 edges, connected.
 
-    Built only by from_edges, which stores each edge as (min, max) and the
-    edges sorted.  Equal and hashed by (n, edges): adjacency follows the
-    order the edges were given in, so it takes no part in either, nor does
-    the pass rooted at vertex 0 made from it.
+    Built only by from_edges, which keeps adjacency in the order the edges
+    were given and the pass rooted at vertex 0 (_root0).  edges, each as
+    (min, max) and sorted, is built from adjacency on first use and then
+    kept; no search, sweep or anatomize reads it.  Equal and hashed by (n,
+    edges): adjacency and _root0 take no part.
 
     _root0 is that pass in preorder ranks: (order, rank, parent, size,
     leaf, depth).  Rank i is vertex order[i] and rank[v] is v's rank; the
     rest are indexed by rank: parent ranks (parent[0] == 0), subtree sizes
     (size[i] counts i and every rank below it), whether each is a leaf and
     its depth below vertex 0.  A parent comes before its children, and
-    each subtree is the run of ranks from its root to its root + size - 1."""
+    each subtree is the run of ranks from its root to its root + size - 1.
+
+    For n > 256 every int in adjacency and _root0 is one of n + 1 shared
+    objects, one per value 0..n, so a value is stored once however often
+    it appears (CPython already shares 0..256)."""
 
     n: int
-    edges: tuple[tuple[int, int], ...]
-    adjacency: tuple[tuple[int, ...], ...] = field(compare=False)
-    _root0: tuple[list[int], list[int], list[int], list[int], list[bool], list[int]] = field(compare=False, repr=False)
+    adjacency: tuple[tuple[int, ...], ...]
+    _root0: tuple[list[int], list[int], list[int], list[int], list[bool], list[int]] = field(repr=False)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Tree":
         edge_list = [tuple(e) for e in edges]
         if len(edge_list) != n - 1:
             raise NotATree(f"{len(edge_list)} edges on {n} vertices")
+        # one int object per value 0..n, which adjacency and, for n > 256,
+        # the pass store (CPython already shares 0..256)
+        ids = list(range(n + 1))
         seen = set()
         adj: list[list[int]] = [[] for _ in range(n)]
-        norm = []
         for u, v in edge_list:
             if not (0 <= u < n and 0 <= v < n):
                 raise IdOutOfRange(f"edge ({u}, {v}) with n={n}")
@@ -67,19 +77,37 @@ class Tree:
             if key in seen:
                 raise DuplicateEdge(f"edge {key} repeated")
             seen.add(key)
-            norm.append(key)
-            adj[u].append(v)
-            adj[v].append(u)
-        order, parent, rank = _rooted(adj, 0)
+            adj[u].append(ids[v])
+            adj[v].append(ids[u])
+        adjacency = tuple(map(tuple, adj))
+        # free the lists and the key tuples before the pass: no field keeps them
+        del adj, seen
+        order, parent, rank = _rooted(adjacency, 0)
         # n-1 edges and no duplicates: connected iff acyclic
         if len(order) != n:
             raise NotATree(f"graph is disconnected ({len(order)} of {n} reached)")
         size = [1] * n
         for i in range(n - 1, 0, -1):
             size[parent[i]] += size[i]
-        leaf = [len(adj[v]) == 1 for v in order]
-        root0 = order, rank, parent, size, leaf, _depths(parent)
-        return cls(n, tuple(sorted(norm)), tuple(tuple(a) for a in adj), root0)
+        leaf = [len(adjacency[v]) == 1 for v in order]
+        depth = _depths(parent)
+        if n > 256:
+            # order holds adjacency's ints already
+            rank, parent, size, depth = (list(map(ids.__getitem__, a)) for a in (rank, parent, size, depth))
+        return cls(n, adjacency, (order, rank, parent, size, leaf, depth))
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Every edge as (min, max), sorted."""
+        return tuple(sorted([(u, v) for u, a in enumerate(self.adjacency) for v in a if u < v]))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Tree):
+            return NotImplemented
+        return self.n == other.n and self.edges == other.edges
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edges))
 
     @cached_property
     def _diameter(self) -> tuple[list[int], list[int]]:

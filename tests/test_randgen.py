@@ -5,7 +5,7 @@ import pytest
 
 from insetedge import Corpus, SplitMix64, leaf_stats, leaves, random_labeled_tree
 from insetedge.errors import IdOutOfRange, OutOfDomain
-from insetedge.randgen import exact_leaf_mean, prufer_decode, stream_seed
+from insetedge.randgen import _prufer_code, exact_leaf_mean, prufer_decode, stream_seed
 
 
 class TestSplitMix64:
@@ -132,6 +132,20 @@ class TestLeafStats:
         for n, seed in ((3, 0), (10, 4), (50, 7)):
             tree = Corpus(n=n, seed=seed, count=1).tree_at(0)
             assert leaf_stats(n, 1, seed) == (len(leaves(tree)), 0.0)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 8, 20, 50, 257, 300])
+    def test_code_counts_the_leaves(self, n):
+        # leaf_stats counts from the code random_labeled_tree decodes
+        for seed in range(12):
+            code = _prufer_code(n, seed)
+            assert n - len(set(code)) == len(leaves(random_labeled_tree(n, seed)))
+
+    @pytest.mark.parametrize("n, samples, seed", [(3, 40, 0), (10, 25, 3), (50, 30, 7)])
+    def test_matches_the_corpus_trees(self, n, samples, seed):
+        counts = [len(leaves(t)) for t in Corpus(n=n, seed=seed, count=samples).trees()]
+        mean = sum(counts) / samples
+        var = (sum(c * c for c in counts) - samples * mean * mean) / (samples - 1)
+        assert leaf_stats(n, samples, seed) == (mean, math.sqrt(max(var, 0.0) / samples))
 
     def test_domain(self):
         with pytest.raises(OutOfDomain):

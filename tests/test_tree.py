@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -8,9 +10,11 @@ import insetedge.tree
 from insetedge import (
     Tree,
     anatomize,
+    best_edge,
     bfs_distances,
     leaves,
     parse_tree,
+    pruning_ratio,
     random_labeled_tree,
     serialize_tree,
     sweep_path,
@@ -314,6 +318,91 @@ class TestRootedPass:
             assert below == {v for v in range(n) if d0[v] == d0[u] + du[v]}
         assert [depth[rank[v]] for v in range(n)] == d0
         assert {v for v in range(n) if leaf[rank[v]]} == leaves(t)
+
+
+def retained_bytes(n, edges):
+    """Bytes tracemalloc still counts once Tree.from_edges(n, edges) has
+    returned, with the tree kept alive."""
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    before = tracemalloc.get_traced_memory()[0]
+    t = Tree.from_edges(n, edges)
+    gc.collect()
+    kept = tracemalloc.get_traced_memory()[0] - before
+    if not tracing:
+        tracemalloc.stop()
+    assert t.n == n
+    return kept
+
+
+class TestFootprint:
+    # the shared ints, adjacency's tuples and _root0's six lists come to
+    # about 140 bytes a vertex on 64-bit CPython; a stored edges tuple
+    # (about 64 more) or an int object per entry would pass the bound
+    BYTES_PER_VERTEX = 200
+
+    def test_routes_do_not_build_edges(self):
+        for t in (random_labeled_tree(40, 3), random_labeled_tree(300, 5), path_tree(30)):
+            d0 = bfs_distances(t, 0)
+            x = d0.index(max(d0))
+            dx = bfs_distances(t, x)
+            y = dx.index(max(dx))
+            best_edge(t)
+            best_edge(t, "pruned")
+            pruning_ratio(t)
+            anatomize(t, x, y)
+            sweep_path(t, x, y)
+            wiener_tree_linear(t)
+            assert "edges" not in t.__dict__
+            assert t.edges is t.edges
+            assert "edges" in t.__dict__
+
+    @pytest.mark.parametrize("n, seed", [(257, 0), (300, 1), (1024, 2), (4096, 3)])
+    def test_one_int_object_per_value(self, n, seed):
+        for t in (random_labeled_tree(n, seed), path_tree(n), star_tree(n)):
+            order, rank, parent, size, _, depth = t._root0
+            ints = {id(v) for seq in (*t.adjacency, order, rank, parent, size, depth) for v in seq}
+            assert len(ints) <= n + 1
+
+    @pytest.mark.parametrize("n", [257, 600])
+    def test_shared_values_are_the_pass(self, n):
+        # the same values as an unshared pass over the same adjacency
+        t = random_labeled_tree(n, n)
+        order, parent, rank = insetedge.tree._rooted(t.adjacency, 0)
+        size = [1] * n
+        for i in range(n - 1, 0, -1):
+            size[parent[i]] += size[i]
+        assert t._root0[:4] == (order, rank, parent, size)
+        assert t._root0[5] == insetedge.tree._depths(parent)
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [(i, i + 1) for i in range(4095)],
+            [(u, v) for u, v in random_labeled_tree(4096, 11).edges],
+        ],
+        ids=["path", "random"],
+    )
+    def test_retained_bytes_per_vertex(self, edges):
+        # fresh int objects, as a parsed document gives them
+        edges = [(int(str(u)), int(str(v))) for u, v in edges]
+        assert retained_bytes(4096, edges) < self.BYTES_PER_VERTEX * 4096
+
+    @given(
+        t=st.builds(random_labeled_tree, st.integers(2, 400), st.integers(0, 2**32)),
+        rnd=st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_edge_order_does_not_matter(self, t, rnd):
+        given_edges = [(v, u) if rnd.random() < 0.5 else (u, v) for u, v in t.edges]
+        rnd.shuffle(given_edges)
+        back = Tree.from_edges(t.n, given_edges)
+        assert back == t and hash(back) == hash(t) == hash((t.n, t.edges))
+        assert back.edges == tuple(sorted((min(e), max(e)) for e in given_edges))
+        path = path_tree(t.n)
+        assert (back == path) == (t.edges == path.edges)
 
 
 class TestLeaves:
