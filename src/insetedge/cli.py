@@ -25,14 +25,14 @@ from .oracle import delta_oracle
 from .randgen import Corpus, exact_leaf_mean, leaf_stats
 from .search import STRATEGIES, best_edge, pruning_ratio
 from .sweep import sweep_path
-from .tree import Tree, _path_sizes, anatomize, parse_tree, serialize_tree, wiener_tree_linear
+from .tree import Tree, _edge_document, _path_sizes, anatomize, parse_tree, serialize_tree, wiener_tree_linear
 
 
 # Work limits, each a domain error past it, measured on a 2-core x86-64
 # machine with Python 3.11.
 # largest tree `verify` and `best --strategy oracle` accept: each scores
-# every pair with the oracle, O(n^4) in all at worst; `verify` takes 0.6 s
-# on a random tree and 1.2 s on the path at n = 64
+# every pair with the oracle, O(n^4) in all at worst; `verify` takes
+# 0.55-0.59 s on a random tree and 1.10-1.13 s on the path at n = 64
 VERIFY_MAX_N = 64
 # largest tree `delta --method oracle` accepts: on the path the command
 # takes about 0.4 s at n = 512, 0.9-1.2 s at 1024 and 3.7-5.0 s at 2048
@@ -59,11 +59,11 @@ BENCH_MAX_SIZES = 8
 # direct`: the O(k^2) delta_direct takes about 1.6-2.3 s at k = n = 16384
 # and 6.3 s at 32768
 EXTREMAL_MAX_N = 16384
-# largest `random --n`: one tree takes 0.7 s and 59 MiB at 100000, 11 s
-# and 438 MiB at 10^6
+# largest `random --n`: one tree takes 0.3-0.5 s and 37 MiB at 100000,
+# 3.6 s and 230 MiB at 10^6
 RANDOM_MAX_N = 100000
-# largest `random` n * count: 1.3-1.5 s for 10000 trees of 50, 3.0-3.2 s
-# and 93 MiB for 5 trees of 100000, 2.5-2.6 s for `--stats pruning` on
+# largest `random` n * count: 0.8 s for 10000 trees of 50, 1.4 s and
+# 46 MiB for 5 trees of 100000, 2.5-2.6 s for `--stats pruning` on
 # 125000 trees of 4
 RANDOM_MAX_VERTICES = 500000
 # largest n^2 * count for `random --stats pruning`, which walks O(n^2)
@@ -279,7 +279,8 @@ def _cmd_random(args) -> dict:
             }
         )
     else:
-        payload["trees"] = [serialize_tree(t) for t in corpus.trees()]
+        # the document serialize_tree would print, from the decoded edges
+        payload["trees"] = [_edge_document(args.n, edges) for edges in corpus.edge_lists()]
     return payload
 
 

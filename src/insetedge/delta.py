@@ -94,7 +94,7 @@ from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from .counting import OpCounter
-from .errors import KTooSmall
+from .errors import KTooSmall, OutOfDomain
 from .tree import CycleAnatomy
 
 
@@ -107,16 +107,25 @@ class DeltaRecord(NamedTuple):
     d_prime: int
 
 
+def _check_weights(k: int, weights_x: Sequence[int], weights_y: Sequence[int]) -> None:
+    """Raise KTooSmall for k < 3, then OutOfDomain unless each side has
+    exactly k // 2 weights: what both weight routes accept."""
+    if k < 3:
+        raise KTooSmall(f"k={k}")
+    if len(weights_x) != k // 2 or len(weights_y) != k // 2:
+        raise OutOfDomain(f"k={k} needs {k // 2} weights a side, got {len(weights_x)} and {len(weights_y)}")
+
+
 def delta_from_weights(
     k: int,
     weights_x: Sequence[int],
     weights_y: Sequence[int],
     counter: Optional[OpCounter] = None,
 ) -> int:
-    """Savings for cycle length k >= 3 and side weight sequences (1-based
-    math, 0-based storage).  Iterates only the i+j <= bound terms."""
-    if k < 3:
-        raise KTooSmall(f"k={k}")
+    """Savings for cycle length k >= 3 and side weight sequences of k // 2
+    entries each (1-based math, 0-based storage).  Iterates only the
+    i+j <= bound terms."""
+    _check_weights(k, weights_x, weights_y)
     k_prime = k // 2
     bound = k_prime + 1 if k % 2 else k_prime
     coeff = [k + 2 - 2 * s for s in range(bound + 1)]

@@ -21,6 +21,7 @@ from functools import lru_cache
 from operator import mul
 
 from .counting import _correlate
+from .delta import _check_weights
 from .errors import KTooSmall
 from .tree import CycleAnatomy
 
@@ -71,9 +72,12 @@ def delta_via_matrix(anatomy: CycleAnatomy) -> int:
     """Norm one of F_k entrywise-multiplied with the weight outer product,
     as sum_s f_s A_s over F_k's anti-diagonals.
 
-    Both weight vectors have k' entries.  With w_x reversed, lag i of its
-    correlation with w_y is the anti-diagonal sum A_s for s = k'+1-i, so
-    the k' sums come out in the order of _anti_diagonal_entries.
+    Both weight vectors have k' entries, and the input is checked as
+    delta_from_weights checks it (KTooSmall, then OutOfDomain).  With w_x
+    reversed, lag i of its correlation with w_y is the anti-diagonal sum
+    A_s for s = k'+1-i, so the k' sums come out in the order of
+    _anti_diagonal_entries.
     """
+    _check_weights(anatomy.k, anatomy.weights_x, anatomy.weights_y)
     sums = _correlate(anatomy.weights_x[::-1], anatomy.weights_y, anatomy.k_prime)
     return sum(map(mul, _anti_diagonal_entries(anatomy.k), sums))

@@ -9,20 +9,20 @@ at a time: each vertex holds a bitmask of the vertices within distance t,
 and the sum is read off the masks with int.bit_count.  delta_oracle
 brute-forces the tree's own sum D(T) once per tree (a one-entry cache
 keyed by the tree's value, holding only that sum) and the graph with the
-added edge on every call.
+added edge on every call.  A SimpleGraph is a typing.NamedTuple of (n,
+adjacency), which tree_plus_edge builds with one tuple.__new__.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import AdjacentPair, Disconnected, SameVertex
 from .tree import Tree
 
 
-@dataclass(frozen=True)
-class SimpleGraph:
+class SimpleGraph(NamedTuple):
     """Undirected simple graph as adjacency tuples."""
 
     n: int
@@ -46,7 +46,7 @@ def tree_plus_edge(tree: Tree, x: int, y: int) -> SimpleGraph:
     adj = list(tree.adjacency)
     adj[x] += (y,)
     adj[y] += (x,)
-    return SimpleGraph(tree.n, tuple(adj))
+    return tuple.__new__(SimpleGraph, (tree.n, tuple(adj)))
 
 
 def wiener_brute(graph: SimpleGraph) -> int:

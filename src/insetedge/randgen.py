@@ -86,11 +86,16 @@ def _prufer_code(n: int, seed: int) -> list[int]:
     return [rng.below(n) for _ in range(n - 2)]
 
 
-def random_labeled_tree(n: int, seed: int) -> Tree:
-    """Uniform over all n^(n-2) labeled trees; deterministic per seed."""
+def _random_edges(n: int, seed: int) -> list[tuple[int, int]]:
+    """The decoded edges of random_labeled_tree(n, seed), in decoding order."""
     if n < 2:
         raise OutOfDomain(f"n={n} < 2")
-    return Tree.from_edges(n, prufer_decode(n, _prufer_code(n, seed)))
+    return prufer_decode(n, _prufer_code(n, seed))
+
+
+def random_labeled_tree(n: int, seed: int) -> Tree:
+    """Uniform over all n^(n-2) labeled trees; deterministic per seed."""
+    return Tree.from_edges(n, _random_edges(n, seed))
 
 
 @dataclass(frozen=True)
@@ -107,6 +112,12 @@ class Corpus:
     def trees(self) -> Iterator[Tree]:
         for i in range(self.count):
             yield self.tree_at(i)
+
+    def edge_lists(self) -> Iterator[list[tuple[int, int]]]:
+        """Each tree's edges as trees() would give them in Tree.edges,
+        (min, max) pairs in sorted order, decoded without building it."""
+        for i in range(self.count):
+            yield sorted(_random_edges(self.n, stream_seed(self.seed, i)))
 
 
 def exact_leaf_mean(n: int) -> float:

@@ -35,7 +35,8 @@ with e_k = 0,
     X_λ = sum_{j=λ}^{P-1} c_j e_{Q+j-λ}
 
 is one counting._correlate of c[:P] and e[Q : Q + P] (a product of two
-Python ints, Kronecker substitution).  Record i of a window reads
+Python ints, Kronecker substitution, whose digits are packed through
+array as counting.py describes).  Record i of a window reads
 X_λ at λ = lo_0 + Q - A + i, adds the Q - A head columns
 j = lo_0 + i + t, t < Q - A, whose rests e_{A+t} lie below e_Q, and
 subtracts the tail columns j = E .. P - 1 past the window's end; each

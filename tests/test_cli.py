@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import insetedge.cli
 import insetedge.tree
-from insetedge import random_labeled_tree, serialize_tree, tree_plus_edge
+from insetedge import Corpus, random_labeled_tree, serialize_tree, tree_plus_edge
 from insetedge.cli import (
     BENCH_MAX_SIZE,
     BENCH_MAX_SIZES,
@@ -269,6 +269,16 @@ class TestRandom:
         _, b = run(capsys, "random", "--n", "10", "--count", "3", "--seed", "5")
         assert a == b
         assert len(a["trees"]) == 3
+
+    @pytest.mark.parametrize("n, count, seed", [(2, 2, 0), (3, 4, 9), (10, 3, 5), (300, 2, -7)])
+    def test_documents_are_the_serialized_trees(self, capsys, n, count, seed):
+        # the samples are printed from their decoded edges, with no Tree built
+        code, out = run(capsys, "random", "--n", str(n), "--count", str(count), "--seed", str(seed))
+        assert code == 0
+        assert out["trees"] == [serialize_tree(t) for t in Corpus(n, seed, count).trees()]
+
+    def test_one_vertex_is_domain_error(self, capsys):
+        assert run(capsys, "random", "--n", "1") == (1, {"error": "OutOfDomain", "message": "n=1 < 2"})
 
     def test_leaf_stats(self, capsys):
         code, out = run(capsys, "random", "--n", "20", "--count", "200", "--seed", "1", "--stats", "leaves")

@@ -16,7 +16,7 @@ from insetedge import (
     random_labeled_tree,
 )
 from insetedge.delta import delta_from_sizes, delta_term_count
-from insetedge.errors import KTooSmall
+from insetedge.errors import KTooSmall, OutOfDomain
 from insetedge.tree import _path_sizes
 
 from conftest import path_tree
@@ -89,6 +89,21 @@ class TestDeltaFromWeights:
         # k = 2 used to return 0: no cycle closes, as build_F(2) says
         with pytest.raises(KTooSmall):
             delta_from_weights(k, [1], [1])
+
+    @pytest.mark.parametrize(
+        "weights_x, weights_y",
+        [
+            ([1, 1, 1], [1]),  # used to return 6, reading one weight of y
+            ([1], [1, 1, 1]),  # used to raise IndexError
+            ([1, 1], [1, 1]),
+            ([1] * 4, [1] * 4),
+            ([], []),
+        ],
+    )
+    def test_weight_count_is_k_prime(self, weights_x, weights_y):
+        # k = 6 needs k // 2 = 3 weights a side
+        with pytest.raises(OutOfDomain):
+            delta_from_weights(6, weights_x, weights_y)
 
     def test_counter_matches_term_count(self):
         for k in range(3, 64):

@@ -10,8 +10,9 @@ from insetedge import (
     delta_via_matrix,
     random_labeled_tree,
 )
-from insetedge.errors import KTooSmall
+from insetedge.errors import KTooSmall, OutOfDomain
 from insetedge.matrixform import _anti_diagonal_entries, _d_entry, _o_entry
+from insetedge.tree import CycleAnatomy
 
 from conftest import path_tree
 
@@ -87,6 +88,32 @@ class TestAgainstCoefficients:
 
 
 class TestDeltaViaMatrix:
+    def test_k_too_small(self):
+        # a hand-built k = 2 anatomy used to score 0 here while delta_direct raised
+        a = CycleAnatomy(
+            x=0, y=1, k=2, k_prime=1, x_side=(0,), y_side=(1,), middle=None,
+            weights_x=(1,), weights_y=(1,), weight_middle=None,
+        )
+        for route in (delta_via_matrix, delta_direct):
+            with pytest.raises(KTooSmall):
+                route(a)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"weights_x": (1, 1)},
+            {"weights_y": (1, 1, 1, 1)},  # unequal sides used to raise OverflowError
+            {"weights_x": (1, 1, 1, 1), "weights_y": (1, 1, 1, 1)},
+            {"weights_x": (), "weights_y": ()},
+        ],
+    )
+    def test_weight_count_is_k_prime(self, p7, change):
+        # both weight routes take exactly k // 2 = 3 weights a side at k = 7
+        a = anatomize(p7, 0, 6)._replace(**change)
+        for route in (delta_via_matrix, delta_direct):
+            with pytest.raises(OutOfDomain):
+                route(a)
+
     def test_spider(self, spider):
         assert delta_via_matrix(anatomize(spider, 0, 3)) == 4
 

@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import accumulate
 
@@ -159,15 +160,33 @@ def naive_correlate(c, e, count):
 
 
 class TestCorrelate:
-    @pytest.mark.parametrize("bits", [0, 8, 32, 64, 200])
+    # bits is the bit length of the bound L max(c) max(e) that sizes the
+    # digits at b = bits // 8 + 1 bytes when L = 1, so these reach every
+    # width: 1, 2, 4 and 8 bytes map onto an array item as they are, 3, 5,
+    # 6 and 7 are restrided into the next wider item, and from 9 (a bound
+    # of 2^63 or more) on the digits are packed one int at a time
+    @pytest.mark.parametrize("bits", [0, 7, 8, 15, 23, 31, 32, 39, 47, 55, 63, 64, 71, 200])
     def test_matches_double_loop(self, bits):
-        top = 2**bits
         rng = random.Random(bits)
         for length in (1, 2, 3, 7, 40):
-            c = [rng.randrange(top + 1) for _ in range(length)]
-            e = [rng.randrange(top + 1) for _ in range(length)]
+            # the largest entry whose bound L * top^2 has at most `bits` bits
+            top = math.isqrt((2**bits - 1) // length)
+            if length == 1:
+                assert (top * top).bit_length() == bits
+            c = [top] + [rng.randrange(top + 1) for _ in range(length - 1)]
+            e = [rng.randrange(top + 1) for _ in range(length - 1)] + [top]
             # count past the length reads lags with no terms
             for count in (0, 1, length, length + 2):
+                assert _correlate(c, e, count) == naive_correlate(c, e, count)
+
+    @pytest.mark.parametrize("lag_sum", [2**63 - 1, 2**63, 2**64 - 1, 2**64])
+    def test_64_bit_boundary(self, lag_sum):
+        # a bound below 2^63 fits 8-byte digits and the array path; from
+        # 2^63 on the digits are 9 bytes wide
+        q = lag_sum // 4
+        for c, e in (([lag_sum], [1]), ([q, q, q, lag_sum - 3 * q], [1, 1, 1, 1])):
+            assert _correlate(c, e, 1) == [lag_sum]
+            for count in (0, 1, len(e), len(e) + 2):
                 assert _correlate(c, e, count) == naive_correlate(c, e, count)
 
     def test_extremes(self):
