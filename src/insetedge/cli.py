@@ -62,14 +62,10 @@ EXTREMAL_MAX_N = 16384
 # largest `random --n`: one tree takes 0.3-0.5 s and 37 MiB at 100000,
 # 3.6 s and 230 MiB at 10^6
 RANDOM_MAX_N = 100000
-# largest `random` n * count: 0.8 s for 10000 trees of 50, 1.4 s and
-# 46 MiB for 5 trees of 100000, 2.5-2.6 s for `--stats pruning` on
-# 125000 trees of 4
+# largest `random` n * count: 0.7-0.8 s for 10000 trees of 50, 1.1-1.4 s
+# and 46 MiB for 5 trees of 100000; with `--stats pruning`, 2.3-2.5 s for
+# 125000 trees of 4 and 2.0-2.1 s and 82 MiB for 5 trees of 100000
 RANDOM_MAX_VERTICES = 500000
-# largest n^2 * count for `random --stats pruning`, which walks O(n^2)
-# pairs per tree: 0.9-1.3 s at n = 3162, count 1 and 1.4 s at n = 1000,
-# count 10 (the same machine)
-PRUNING_MAX_PAIRS = 10**7
 
 
 def _frac(f: Fraction) -> str:
@@ -244,11 +240,6 @@ def _cmd_random(args) -> dict:
     if args.n * args.count > RANDOM_MAX_VERTICES:
         raise OutOfDomain(
             f"n={args.n}, count={args.count}: random supported for n * count <= {RANDOM_MAX_VERTICES}"
-        )
-    if args.stats == "pruning" and args.n * args.n * args.count > PRUNING_MAX_PAIRS:
-        raise OutOfDomain(
-            f"n={args.n}, count={args.count}: random --stats pruning supported for"
-            f" n^2 * count <= {PRUNING_MAX_PAIRS}"
         )
     payload = {
         "command": "random",

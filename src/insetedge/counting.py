@@ -16,7 +16,7 @@ array of the narrowest machine width w >= b (1, 2, 4 or 8 bytes), and
 when w > b, b strided slice copies narrow each item to its b low bytes;
 the product's digits are widened back the same way and read with
 array.tolist().  Only digits of 9 bytes or more, sized for a bound of
-2^63 or above, are packed one int.to_bytes per value, as no array item
+2^64 or above, are packed one int.to_bytes per value, as no array item
 holds them.  The digits stay exactly b bytes wide: rounding them up to w
 would make the product longer, which costs more than the restriding from
 L ~ 1000 on.
@@ -59,14 +59,14 @@ def _correlate(c: Sequence[int], e: Sequence[int], count: int) -> list[int]:
     """[sum_t c[i + t] * e[t] for i in range(count)] for non-negative ints,
     len(c) == len(e), exactly.  Both sequences are packed as little-endian
     base-2^(8b) digits, c in order and e reversed; with L = len(e),
-    coefficient L-1+i of their product is the lag-i sum.  A digit of b
-    bytes holds more than the largest of L max(c) max(e), which bounds
-    every coefficient, max(c) and max(e), so every input entry packs and
-    no coefficient carries into the next even when one side is all
-    zeros."""
+    coefficient L-1+i of their product is the lag-i sum.  b is the fewest
+    bytes (at least 1) whose digit holds values up to the largest of L
+    max(c) max(e), which bounds every coefficient, max(c) and max(e), so
+    every input entry packs and no coefficient carries into the next even
+    when one side is all zeros."""
     L = len(e)
     top_c, top_e = max(c, default=0), max(e, default=0)
-    b = max(L * top_c * top_e, top_c, top_e).bit_length() // 8 + 1
+    b = (max(L * top_c * top_e, top_c, top_e).bit_length() + 7) // 8 or 1
     m = min(count, L)
     if m <= 0:
         return [0] * count

@@ -52,11 +52,15 @@ can drop only the outermost pair (p_0, p_D).  The walk meets the seed's
 pair again and yields it, at least as a tie, so the seed changes which
 pairs are summed and not the report.  best_edge scores each
 yielded pair from sizes and cum with delta.delta_from_sizes, one or two
-slices and C-level sums.  The walk counts every pair it walks, yielded
-or not, and that count is evaluated.  pruning_ratio and the oracle
-strategy walk with a floor of -1, which every pair reaches (every
-savings is >= 1), so they see every pair, and the walk does not compute
-their caps.
+slices and C-level sums.  The oracle strategy walks with a floor of -1,
+which every pair reaches (every savings is >= 1), so it sees every
+pair, and the walk does not compute its caps.
+
+The walk keeps no count.  evaluated depends only on the tree: every
+non-adjacent pair for exhaustive and oracle, and for pruned the pairs
+the rule keeps, which _kept_count counts in O(n) from the number of
+leaves at each distance up to 6 from every vertex.  pruning_ratio reads
+that count and walks no pair.
 """
 
 from __future__ import annotations
@@ -64,6 +68,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from typing import Iterator
 
 from .delta import delta_direct, delta_from_sizes
@@ -91,6 +96,43 @@ def _non_adjacent_count(tree: Tree) -> int:
     return (tree.n - 1) * (tree.n - 2) // 2
 
 
+def _kept_count(tree: Tree) -> int:
+    """The non-adjacent pairs the pruning rule keeps, for n >= 3, in O(n)
+    big-integer steps: the pairs of non-leaves, and the pairs with a leaf
+    end at a distance in PRUNE_EXCEPTION_DISTANCES.
+
+    The q non-leaves span a subtree, so (q - 1)(q - 2) / 2 of their pairs
+    are non-adjacent.  Let L_j(y) be the number of leaves at distance j
+    from y.  The sum of L_j(y) over every y counts a pair at distance j
+    once if one end is a leaf and twice if both are, and the sum over
+    leaves y counts the pairs of leaves alone twice; so (2 sum_y L_j(y) -
+    sum_{leaf y} L_j(y)) / 2 pairs at distance j have a leaf end.
+
+    Each vertex's L_0 .. L_6 are the digits of one int, s = 2
+    n.bit_length() + 1 bits each, so that a digit summed twice over every
+    vertex (below 2 n^2) never carries into the next: the Kronecker
+    packing of counting._correlate.  One shift then moves every count a
+    step farther, and a mask drops the digits past 6."""
+    n = tree.n
+    _, _, parent, _, leaf, _ = tree._root0
+    s = 2 * n.bit_length() + 1
+    top = (1 << (max(PRUNE_EXCEPTION_DISTANCES) + 1) * s) - 1
+    # children before parents: reach[i] counts the leaves below rank i
+    reach = list(map(int, leaf))
+    for i in range(n - 1, 0, -1):
+        reach[parent[i]] += reach[i] << s & top
+    # parents before children: add those around the parent, less i's own
+    # subtree, one step farther.  The subtraction borrows only past digit
+    # 6, and the shift moves that past the mask
+    for i in range(1, n):
+        reach[i] += (reach[parent[i]] - (reach[i] << s)) << s & top
+    sums = 2 * sum(reach) - sum(compress(reach, leaf))
+    digit = (1 << s) - 1
+    near = sum(sums >> j * s & digit for j in PRUNE_EXCEPTION_DISTANCES)
+    q = n - sum(leaf)
+    return ((q - 1) * (q - 2) + near) // 2
+
+
 def _candidates(
     tree: Tree, pruned: bool, floor: list[int]
 ) -> tuple[Iterator[tuple[int, int, int]], list[int], list[int]]:
@@ -105,11 +147,10 @@ def _candidates(
     by the pruning rule, and the walk from a leaf stops at the largest
     distance the rule keeps.
 
-    floor is a two-entry list [best, walked].  The walk yields a pair only
-    when no cap is below floor[0], which it reads again after each
+    floor is a one-entry list, the running best.  The walk yields a pair
+    only when no cap is below floor[0], which it reads again after each
     yield, so the caller raises it as it scores; a negative floor skips
-    nothing.  When the walk ends, floor[1] is the number of pairs it
-    walked, yielded or not."""
+    nothing."""
     n = tree.n
     sizes, cum = [n] * n, [0] * n
     return _walk(tree, pruned, floor, sizes, cum), sizes, cum
@@ -164,7 +205,6 @@ def _walk(
     deepest = max(kept)
     caps = _cap_tables(n)
     best = floor[0]
-    walked = 0
     # as at root 1, whose one ancestor is 0
     if n > 1:
         rooted[0] = n - size[1]
@@ -205,7 +245,6 @@ def _walk(
                 u += 1 if d < limit else size[u]
                 if droppable[w] and d not in kept:
                     continue
-                walked += 1
                 # yield only a pair whose caps reach best, in integers: a
                 # pair that could tie it is always yielded, and every pair
                 # reaches a negative best, uncapped
@@ -229,7 +268,6 @@ def _walk(
                 break
             c = a
             u = a = parent[a]
-    floor[1] = walked
 
 
 def _seed(tree: Tree, pruned: bool) -> tuple[int, tuple[int, int]]:
@@ -265,7 +303,7 @@ def best_edge(tree: Tree, strategy: str = "exhaustive") -> SearchReport:
     # the oracle scores every walked pair: its walk's floor stays at -1
     best = -1 if oracle else _seed(tree, pruned)[0]
     best_pairs: list[tuple[int, int]] = []
-    floor = [best, 0]
+    floor = [best]
     pairs, sizes, cum = _candidates(tree, pruned, floor)
     raised = [best] if oracle else floor
     for u, v, d in pairs:
@@ -282,12 +320,13 @@ def best_edge(tree: Tree, strategy: str = "exhaustive") -> SearchReport:
     direct = delta_direct(anatomize(tree, *best_pairs[0]))
     if direct != best:
         raise RouteMismatch(f"{strategy} scored {best_pairs[0]} as {best}, delta_direct as {direct}")
-    evaluated = floor[1]
+    total = _non_adjacent_count(tree)
+    evaluated = _kept_count(tree) if pruned else total
     return SearchReport(
         best_pairs=tuple(best_pairs),
         best_delta=best,
         evaluated=evaluated,
-        pruned=_non_adjacent_count(tree) - evaluated,
+        pruned=total - evaluated,
         strategy=strategy,
     )
 
@@ -297,9 +336,4 @@ def pruning_ratio(tree: Tree) -> Fraction:
     if tree.n <= 3:
         raise NoCandidates(f"n={tree.n}")
     total = _non_adjacent_count(tree)
-    floor = [-1, 0]
-    pairs, _, _ = _candidates(tree, True, floor)
-    # a floor of -1 yields every kept pair; the walk counts them itself
-    for _ in pairs:
-        pass
-    return Fraction(total - floor[1], total)
+    return Fraction(total - _kept_count(tree), total)

@@ -43,7 +43,7 @@ def candidate_pairs(tree: Tree, strategy: str = "exhaustive") -> list[tuple[int,
     or the leaf-pruned subset, each once.  A floor of -1 yields them all."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    pairs, _, _ = _candidates(tree, strategy == "pruned", [-1, 0])
+    pairs, _, _ = _candidates(tree, strategy == "pruned", [-1])
     return [(u, v) for u, v, _ in pairs]
 
 

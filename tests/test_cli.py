@@ -1,7 +1,6 @@
 import contextlib
 import io
 import json
-import math
 import os
 import tempfile
 
@@ -20,7 +19,6 @@ from insetedge.cli import (
     EXHAUSTIVE_MAX_N,
     EXTREMAL_MAX_N,
     ORACLE_MAX_N,
-    PRUNING_MAX_PAIRS,
     RANDOM_MAX_N,
     RANDOM_MAX_VERTICES,
     VERIFY_MAX_N,
@@ -293,8 +291,8 @@ class TestRandom:
             (["--n", "50", "--count", str(RANDOM_MAX_VERTICES // 50 + 1), "--stats", "leaves"], RANDOM_MAX_VERTICES),
             (["--n", "1", "--count", str(RANDOM_MAX_VERTICES + 1)], RANDOM_MAX_VERTICES),
             (["--n", "2000", "--count", "2000", "--stats", "pruning"], RANDOM_MAX_VERTICES),
-            (["--n", "3163", "--stats", "pruning"], PRUNING_MAX_PAIRS),
-            (["--n", "100", "--count", str(PRUNING_MAX_PAIRS // 10**4 + 1), "--stats", "pruning"], PRUNING_MAX_PAIRS),
+            (["--n", str(RANDOM_MAX_N + 1), "--stats", "pruning"], RANDOM_MAX_N),
+            (["--n", "100", "--count", str(RANDOM_MAX_VERTICES // 100 + 1), "--stats", "pruning"], RANDOM_MAX_VERTICES),
         ],
     )
     def test_over_limit_is_domain_error(self, capsys, argv, limit):
@@ -304,11 +302,11 @@ class TestRandom:
         assert str(limit) in out["message"]
 
     def test_at_limits(self, capsys):
-        # n * count and n^2 * count may each reach their limit; the first is
-        # the README's example
+        # n * count and n may each reach their limit; the first is the
+        # README's example, and --stats pruning has no limit of its own
         argv = ["--n", "50", "--count", str(RANDOM_MAX_VERTICES // 50), "--stats", "leaves"]
         assert run(capsys, "random", *argv)[0] == 0
-        argv = ["--n", "1000", "--count", str(PRUNING_MAX_PAIRS // 10**6), "--stats", "pruning"]
+        argv = ["--n", str(RANDOM_MAX_N), "--stats", "pruning"]
         assert run(capsys, "random", *argv)[0] == 0
 
 
@@ -466,9 +464,7 @@ class TestErrors:
 
 # Fuzzing main(argv).  Numbers stay in [-3, 12] (the exhaustive limit at
 # 6 or below), or lie past the work limit of the flag they are drawn for,
-# which is rejected before any work, so every example is fast (the one
-# `random --n` past the pruning limit makes at most 12 trees of 3163
-# vertices when it is not rejected): random
+# which is rejected before any work, so every example is fast: random
 # garbage text has no digit, and the fixed garbage tokens parse to 4 at
 # most, so no example asks for unbounded work.  No token contains 'h', so
 # no abbreviation of --help (which prints usage on stdout and exits 0) can
@@ -521,7 +517,7 @@ FUZZ_ARGS = {
         optional("--shape", choice("star", "path")),
     ),
     "random": st.tuples(
-        flag("--n", VALUE | past(RANDOM_MAX_N) | st.just(str(math.isqrt(PRUNING_MAX_PAIRS) + 1))),
+        flag("--n", VALUE | past(RANDOM_MAX_N)),
         optional("--count", VALUE | past(RANDOM_MAX_VERTICES)),
         optional("--seed", VALUE | st.integers().map(str)),
         optional("--stats", choice("leaves", "pruning")),

@@ -1,7 +1,7 @@
 import json
 import random
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, product
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +28,8 @@ from insetedge.bounds import _family_table
 from insetedge.cli import BEST_MAX_N, main
 from insetedge.errors import NoCandidates, RouteMismatch
 from insetedge.delta import delta_from_sizes
-from insetedge.search import _candidates, _seed
+from insetedge.randgen import prufer_decode
+from insetedge.search import _candidates, _kept_count, _non_adjacent_count, _seed
 from insetedge.tree import _path_sizes
 
 from conftest import candidate_pairs, path_tree, star_tree
@@ -159,7 +160,7 @@ def assert_stack_scores_match_direct(t):
     _path_sizes and their prefix sums, and return the walk's distances in
     order.  With a floor of -1 the walk yields every pair it walks."""
     rank = t._root0[1]
-    pairs, sizes, cum = _candidates(t, False, [-1, 0])
+    pairs, sizes, cum = _candidates(t, False, [-1])
     distances = []
     for u, v, d in pairs:
         # the walk roots each pair at its endpoint later in the preorder;
@@ -237,7 +238,7 @@ class TestSavings:
 
 def assert_cap_bounds_every_pair(t):
     # the second cap is never above the first: each tier only tightens
-    pairs, sizes, cum = _candidates(t, False, [-1, 0])
+    pairs, sizes, cum = _candidates(t, False, [-1])
     for u, v, d in pairs:
         score, cap = delta_from_sizes(d, sizes, cum), chebyshev_cap(d, t.n, cum)
         assert cap >= score, (u, v, d)
@@ -245,14 +246,18 @@ def assert_cap_bounds_every_pair(t):
             assert cap >= two_block_cap(d, sizes) >= score, (u, v, d)
 
 
+def closed_count(t, strategy):
+    """The pairs a strategy's walk walks, counted without a walk."""
+    return _kept_count(t) if strategy == "pruned" else _non_adjacent_count(t)
+
+
 def watch_search(t, strategy):
     """best_edge's report, every pair its walk walks in order (the same
     walk with a floor of -1, which yields them all), and the set of pairs
     the walk yields to best_edge."""
-    floor = [-1, 0]
-    pairs, _, _ = _candidates(t, strategy == "pruned", floor)
+    pairs, _, _ = _candidates(t, strategy == "pruned", [-1])
     walked = [(u, v) for u, v, _ in pairs]
-    assert floor[1] == len(walked)
+    assert len(walked) == closed_count(t, strategy)
     yielded = set()
 
     def watched(tree, pruned, floor):
@@ -305,7 +310,7 @@ class TestChebyshevSkip:
         # from the seed on, a pair leaves the walk iff its first cap and,
         # for L >= 2, its second cap reach the best of the pairs before it
         _, _, yielded = watch_search(t, strategy)
-        pairs, sizes, cum = _candidates(t, strategy == "pruned", [-1, 0])
+        pairs, sizes, cum = _candidates(t, strategy == "pruned", [-1])
         best, expected = _seed(t, strategy == "pruned")[0], set()
         for u, v, d in pairs:
             if chebyshev_cap(d, t.n, cum) >= best and (d // 2 < 2 or two_block_cap(d, sizes) >= best):
@@ -328,13 +333,14 @@ class TestChebyshevSkip:
     def test_walk_yields_fewer_than_a_quarter_of_its_pairs(self, strategy):
         # the walk applies the cap itself, re-reading the floor after each
         # yield, so most pairs never leave it
-        floor = [-1, 0]
-        pairs, sizes, cum = _candidates(random_labeled_tree(80, 11), strategy == "pruned", floor)
+        t = random_labeled_tree(80, 11)
+        floor = [-1]
+        pairs, sizes, cum = _candidates(t, strategy == "pruned", floor)
         yielded = 0
         for _, _, d in pairs:
             yielded += 1
             floor[0] = max(floor[0], delta_from_sizes(d, sizes, cum))
-        assert 0 < yielded < floor[1] // 4
+        assert 0 < yielded < closed_count(t, strategy) // 4
 
 
 class TestSeed:
@@ -625,3 +631,71 @@ class TestPruningRatio:
 
     def test_star_large(self):
         assert pruning_ratio(star_tree(30)) == 0
+
+    def test_walks_no_pair(self, monkeypatch, p7):
+        # the ratio comes from the closed count alone
+        def no_walk(*args):
+            raise AssertionError("pruning_ratio walked")
+
+        monkeypatch.setattr(insetedge.search, "_walk", no_walk)
+        assert pruning_ratio(p7) == Fraction(2, 15)
+
+
+def assert_count_matches_walk(t):
+    kept = len(candidate_pairs(t, "pruned"))
+    total = _non_adjacent_count(t)
+    assert _kept_count(t) == best_edge(t, "pruned").evaluated == kept
+    assert pruning_ratio(t) == Fraction(total - kept, total)
+
+
+class TestKeptCount:
+    @pytest.mark.parametrize(
+        "n, mean", [(4, 0), (5, 0), (6, Fraction(1, 36)), (7, Fraction(144, 2401))]
+    )
+    def test_every_labeled_tree(self, n, mean):
+        # all n^(n-2) labeled trees, one per Prufer code, and the exact mean
+        # of the ratio over them
+        ratios = []
+        for code in product(range(n), repeat=n - 2):
+            t = Tree.from_edges(n, prufer_decode(n, code))
+            assert_count_matches_walk(t)
+            ratios.append(pruning_ratio(t))
+        assert sum(ratios) / len(ratios) == mean
+
+    @pytest.mark.parametrize("n", [4, 5, 8, 64, 255, 256, 257, 300])
+    def test_stars(self, n):
+        # every pair is two leaves at distance 2: the widest digit sums
+        assert_count_matches_walk(star_tree(n))
+
+    @pytest.mark.parametrize("n, seed", [(257, 1), (300, 2), (600, 3)])
+    def test_random_trees_of_shared_ints(self, n, seed):
+        assert_count_matches_walk(random_labeled_tree(n, seed))
+
+    @DEEP_WALK_TREES
+    def test_deep_walks(self, t):
+        assert_count_matches_walk(t)
+
+    @pytest.mark.parametrize(
+        "t",
+        [path_tree(200), star_tree(12), random_labeled_tree(60, 4), comb_tree(5, 4)],
+        ids=["path", "star", "random", "comb"],
+    )
+    def test_each_vertex_packs_its_leaves_by_distance(self, monkeypatch, t):
+        # the list the count sums, read where it is filtered to the leaves:
+        # digit j of rank i's int is the number of leaves at distance j from
+        # it, for j <= 6, and no digit past 6 is kept
+        packed = []
+        compress = insetedge.search.compress
+
+        def spying(data, selectors):
+            packed.append(list(data))
+            return compress(data, selectors)
+
+        monkeypatch.setattr(insetedge.search, "compress", spying)
+        _kept_count(t)
+        s = 2 * t.n.bit_length() + 1
+        leaf = leaves(t)
+        for v, value in zip(t._root0[0], packed[0]):
+            dist = bfs_distances(t, v)
+            counts = [sum(dist[x] == j for x in leaf) for j in range(7)]
+            assert value == sum(c << j * s for j, c in enumerate(counts)), v

@@ -15,6 +15,7 @@ from insetedge import (
     random_labeled_tree,
     sweep_path,
 )
+import insetedge.counting
 from insetedge.counting import _correlate
 from insetedge.delta import DeltaRecord, delta_from_sizes
 from insetedge.errors import AdjacentPair, IdOutOfRange, SameVertex
@@ -161,11 +162,13 @@ def naive_correlate(c, e, count):
 
 class TestCorrelate:
     # bits is the bit length of the bound L max(c) max(e) that sizes the
-    # digits at b = bits // 8 + 1 bytes when L = 1, so these reach every
-    # width: 1, 2, 4 and 8 bytes map onto an array item as they are, 3, 5,
-    # 6 and 7 are restrided into the next wider item, and from 9 (a bound
-    # of 2^63 or more) on the digits are packed one int at a time
-    @pytest.mark.parametrize("bits", [0, 7, 8, 15, 23, 31, 32, 39, 47, 55, 63, 64, 71, 200])
+    # digits at b = ceil(bits / 8) bytes (at least 1) when L = 1, so these
+    # reach every width: 1, 2, 4 and 8 bytes map onto an array item as they
+    # are, 3, 5, 6 and 7 are restrided into the next wider item, and from 9
+    # (a bound of 2^64 or more) on the digits are packed one int at a time
+    @pytest.mark.parametrize(
+        "bits", [0, 7, 8, 15, 16, 23, 24, 31, 32, 39, 40, 47, 48, 55, 56, 63, 64, 65, 71, 200]
+    )
     def test_matches_double_loop(self, bits):
         rng = random.Random(bits)
         for length in (1, 2, 3, 7, 40):
@@ -181,13 +184,29 @@ class TestCorrelate:
 
     @pytest.mark.parametrize("lag_sum", [2**63 - 1, 2**63, 2**64 - 1, 2**64])
     def test_64_bit_boundary(self, lag_sum):
-        # a bound below 2^63 fits 8-byte digits and the array path; from
-        # 2^63 on the digits are 9 bytes wide
+        # a bound below 2^64 fits 8-byte digits and the array path; from
+        # 2^64 on the digits are 9 bytes wide
         q = lag_sum // 4
         for c, e in (([lag_sum], [1]), ([q, q, q, lag_sum - 3 * q], [1, 1, 1, 1])):
             assert _correlate(c, e, 1) == [lag_sum]
             for count in (0, 1, len(e), len(e) + 2):
                 assert _correlate(c, e, count) == naive_correlate(c, e, count)
+
+    @pytest.mark.parametrize("bits, itemsize", [(8, 1), (16, 2), (64, 8)])
+    def test_a_bound_of_8b_bits_packs_in_b_bytes(self, monkeypatch, bits, itemsize):
+        # a digit holds values up to the bound, so a bound of 2^(8b) - 1
+        # packs into the b-byte array item, not the next width up, and one
+        # just below 2^64 keeps the array path
+        make, codes = insetedge.counting.array, []
+
+        def recording(code, *args):
+            codes.append(code)
+            return make(code, *args)
+
+        monkeypatch.setattr(insetedge.counting, "array", recording)
+        top = 2**bits - 1
+        assert _correlate([top], [1], 1) == [top]
+        assert codes and {make(code).itemsize for code in codes} == {itemsize}
 
     def test_extremes(self):
         big = 2**64 + 1
