@@ -21,7 +21,7 @@ from .counting import OpCounter
 from .delta import DeltaRecord, ad_prime, delta_direct, delta_term_count
 from .errors import InsetEdgeError, MalformedLine, OutOfDomain
 from .matrixform import delta_via_matrix
-from .oracle import delta_oracle
+from .oracle import delta_oracle, non_adjacent_pairs
 from .randgen import Corpus, exact_leaf_mean, leaf_stats
 from .search import STRATEGIES, best_edge, pruning_ratio
 from .sweep import sweep_path
@@ -279,37 +279,20 @@ def _cmd_verify(args) -> tuple[dict, int]:
     tree = _load(args.file)
     if tree.n > VERIFY_MAX_N:
         raise OutOfDomain(f"n={tree.n}: verify supported for n <= {VERIFY_MAX_N}")
+    payload = {"command": "verify", "file": args.file, "ok": True}
     checked = 0
-    for u in range(tree.n):
-        for v in range(u + 1, tree.n):
-            if v in tree.adjacency[u]:
-                continue
-            anatomy = anatomize(tree, u, v)
-            direct = delta_direct(anatomy)
-            matrix = delta_via_matrix(anatomy)
-            oracle = delta_oracle(tree, u, v)
-            checked += 1
-            if not (direct == matrix == oracle):
-                return (
-                    {
-                        "command": "verify",
-                        "file": args.file,
-                        "ok": False,
-                        "mismatch": {
-                            "x": u,
-                            "y": v,
-                            "direct": direct,
-                            "matrix": matrix,
-                            "oracle": oracle,
-                        },
-                        "pairs_checked": checked,
-                    },
-                    1,
-                )
-    return (
-        {"command": "verify", "file": args.file, "ok": True, "pairs_checked": checked},
-        0,
-    )
+    for u, v in non_adjacent_pairs(tree):
+        anatomy = anatomize(tree, u, v)
+        direct = delta_direct(anatomy)
+        matrix = delta_via_matrix(anatomy)
+        oracle = delta_oracle(tree, u, v)
+        checked += 1
+        if not (direct == matrix == oracle):
+            payload["ok"] = False
+            payload["mismatch"] = {"x": u, "y": v, "direct": direct, "matrix": matrix, "oracle": oracle}
+            break
+    payload["pairs_checked"] = checked
+    return payload, 0 if payload["ok"] else 1
 
 
 def _cmd_bench(args) -> dict:

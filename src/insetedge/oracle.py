@@ -4,6 +4,9 @@ This is the brute-force reference that `inset verify`, `best --strategy
 oracle`, `delta --method oracle` and the bounds audit check the formulas
 against, so it is kept independent of the formula modules: it reads only
 the graph's adjacency.  All sums are exact Python integers.
+non_adjacent_pairs lists, from the adjacency alone, the pairs that
+`inset verify` and the oracle strategy score, so that neither takes its
+pairs from the search's walk.
 wiener_brute runs the BFS from every source at once, one distance level
 at a time: each vertex holds a bitmask of the vertices within distance t,
 and the sum is read off the masks with int.bit_count.  delta_oracle
@@ -47,6 +50,13 @@ def tree_plus_edge(tree: Tree, x: int, y: int) -> SimpleGraph:
     adj[x] += (y,)
     adj[y] += (x,)
     return tuple.__new__(SimpleGraph, (tree.n, tuple(adj)))
+
+
+def non_adjacent_pairs(tree: Tree) -> list[tuple[int, int]]:
+    """Every pair (u, v), u < v, that is not an edge of the tree, in
+    lexicographic order."""
+    n, adj = tree.n, tree.adjacency
+    return [(u, v) for u in range(n) for v in range(u + 1, n) if v not in adj[u]]
 
 
 def wiener_brute(graph: SimpleGraph) -> int:

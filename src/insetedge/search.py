@@ -52,9 +52,12 @@ can drop only the outermost pair (p_0, p_D).  The walk meets the seed's
 pair again and yields it, at least as a tie, so the seed changes which
 pairs are summed and not the report.  best_edge scores each
 yielded pair from sizes and cum with delta.delta_from_sizes, one or two
-slices and C-level sums.  The oracle strategy walks with a floor of -1,
-which every pair reaches (every savings is >= 1), so it sees every
-pair, and the walk does not compute its caps.
+slices and C-level sums.
+
+The oracle strategy has no part in the walk, the seed or the caps: it
+scores every pair of oracle.non_adjacent_pairs, which reads only the
+tree's adjacency, with delta_oracle, so a pair the walk missed would
+still be scored.
 
 The walk keeps no count.  evaluated depends only on the tree: every
 non-adjacent pair for exhaustive and oracle, and for pruned the pairs
@@ -73,7 +76,7 @@ from typing import Iterator
 
 from .delta import delta_direct, delta_from_sizes
 from .errors import NoCandidates, RouteMismatch
-from .oracle import delta_oracle
+from .oracle import delta_oracle, non_adjacent_pairs
 from .sweep import _family_savings
 from .tree import Tree, anatomize
 
@@ -246,21 +249,19 @@ def _walk(
                 if droppable[w] and d not in kept:
                     continue
                 # yield only a pair whose caps reach best, in integers: a
-                # pair that could tie it is always yielded, and every pair
-                # reaches a negative best, uncapped
-                if best >= 0:
-                    half, span, hi, lo, block = caps[d]
-                    top = 2 * total - cum[hi] - cum[lo]
-                    rests = span - cum[half]
-                    if top * rests < best * half:
+                # pair that could tie it is always yielded
+                half, span, hi, lo, block = caps[d]
+                top = 2 * total - cum[hi] - cum[lo]
+                rests = span - cum[half]
+                if top * rests < best * half:
+                    continue
+                if block:
+                    # the second tier: a cap per block of the L terms
+                    l1, l2, span1, near1, far1 = block
+                    top1 = cum[near1] - cum[hi] + cum[far1] - cum[lo]
+                    rest1 = span1 - cum[l1]
+                    if top1 * rest1 // l1 + (top - top1) * (rests - rest1) // l2 < best:
                         continue
-                    if block:
-                        # the second tier: a cap per block of the L terms
-                        l1, l2, span1, near1, far1 = block
-                        top1 = cum[near1] - cum[hi] + cum[far1] - cum[lo]
-                        rest1 = span1 - cum[l1]
-                        if top1 * rest1 // l1 + (top - top1) * (rests - rest1) // l2 < best:
-                            continue
                 x = order[w]
                 yield (x, v, d) if x < v else (v, x, d)
                 best = floor[0]
@@ -291,25 +292,30 @@ def _seed(tree: Tree, pruned: bool) -> tuple[int, tuple[int, int]]:
 def best_edge(tree: Tree, strategy: str = "exhaustive") -> SearchReport:
     """All shortcut edges maximizing the savings, sorted lexicographically.
 
-    The first best pair is scored again with delta_direct on its anatomy;
-    RouteMismatch is raised if the two routes disagree, or if no walked
-    pair reached the seed."""
+    exhaustive and pruned score the pairs the walk yields from subtree
+    sizes, from the seed up; oracle scores every non-adjacent pair by
+    brute force, without the walk.  The first best pair is scored again
+    with delta_direct on its anatomy; RouteMismatch is raised if the two
+    routes disagree, or if no walked pair reached the seed."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     if tree.n <= 3:
         raise NoCandidates(f"n={tree.n}")
-    oracle = strategy == "oracle"
     pruned = strategy == "pruned"
-    # the oracle scores every walked pair: its walk's floor stays at -1
-    best = -1 if oracle else _seed(tree, pruned)[0]
+    if strategy == "oracle":
+        # every savings is >= 1: the first pair scored beats a best of -1
+        floor = [-1]
+        scored = ((u, v, delta_oracle(tree, u, v)) for u, v in non_adjacent_pairs(tree))
+    else:
+        # the walk reads the running best from floor, raised as pairs score
+        floor = [_seed(tree, pruned)[0]]
+        pairs, sizes, cum = _candidates(tree, pruned, floor)
+        scored = ((u, v, delta_from_sizes(d, sizes, cum)) for u, v, d in pairs)
+    best = floor[0]
     best_pairs: list[tuple[int, int]] = []
-    floor = [best]
-    pairs, sizes, cum = _candidates(tree, pruned, floor)
-    raised = [best] if oracle else floor
-    for u, v, d in pairs:
-        score = delta_oracle(tree, u, v) if oracle else delta_from_sizes(d, sizes, cum)
+    for u, v, score in scored:
         if score > best:
-            best = raised[0] = score
+            best = floor[0] = score
             best_pairs = [(u, v)]
         elif score == best:
             best_pairs.append((u, v))

@@ -14,7 +14,10 @@ keeps about 140 bytes a vertex (64-bit CPython 3.11).  Two properties
 are built on first use: the sorted edge tuple (edges), which equality,
 hashing and serialize_tree read, and a diameter with its subtree sizes
 (_diameter), which seeds best_edge.  A tree that is only swept,
-searched or walked by pruning_ratio never builds edges.
+searched by the exhaustive or pruned strategy or given to pruning_ratio
+never builds edges.  delta_oracle, and with it the oracle strategy,
+does: its one-entry cache of the tree's own sum is keyed by the tree's
+value, whose hash reads edges.
 
 A CycleAnatomy is a typing.NamedTuple, like delta.DeltaRecord, so
 anatomize builds it with one tuple.__new__ and no Python frame: its

@@ -7,6 +7,7 @@ import pytest
 
 from insetedge import SimpleGraph, Tree
 from insetedge.errors import IdOutOfRange, SameVertex
+from insetedge.oracle import non_adjacent_pairs
 from insetedge.search import STRATEGIES, _candidates
 from insetedge.tree import _rooted
 
@@ -39,10 +40,14 @@ def path_between(tree: Tree, x: int, y: int) -> list[int]:
 
 
 def candidate_pairs(tree: Tree, strategy: str = "exhaustive") -> list[tuple[int, int]]:
-    """Every pair (u, v), u < v, the search walks: all non-adjacent pairs,
-    or the leaf-pruned subset, each once.  A floor of -1 yields them all."""
+    """Every pair (u, v), u < v, a strategy scores, each once: for
+    exhaustive and pruned, all non-adjacent pairs or the leaf-pruned subset
+    as the search walks them, where a floor of -1 yields them all; for
+    oracle, oracle.non_adjacent_pairs."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy == "oracle":
+        return non_adjacent_pairs(tree)
     pairs, _, _ = _candidates(tree, strategy == "pruned", [-1])
     return [(u, v) for u, v, _ in pairs]
 

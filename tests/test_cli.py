@@ -332,6 +332,17 @@ class TestVerify:
             "mismatch": {"x": 1, "y": 5, "direct": 16, "matrix": 16, "oracle": 17},
             "pairs_checked": 8,
         }
+        assert list(out) == ["command", "file", "ok", "mismatch", "pairs_checked"]
+
+    @pytest.mark.parametrize("n, checked", [(1, 0), (2, 0), (3, 1)])
+    def test_fewer_than_two_pairs(self, capsys, tmp_path, n, checked):
+        # the single vertex and the single edge have no pair to check, P_3
+        # only (0, 2)
+        f = tmp_path / "short.tree"
+        f.write_text(serialize_tree(path_tree(n)))
+        assert main(["verify", str(f)]) == 0
+        expected = {"command": "verify", "file": str(f), "ok": True, "pairs_checked": checked}
+        assert capsys.readouterr().out == json.dumps(expected) + "\n"
 
     def test_over_limit_is_domain_error(self, capsys, tmp_path):
         # rejected when loaded, before the first of its O(n^4) oracle pairs

@@ -15,6 +15,7 @@ from insetedge import (
     wiener_tree_linear,
 )
 from insetedge.errors import AdjacentPair, Disconnected, IdOutOfRange, SameVertex
+from insetedge.oracle import non_adjacent_pairs
 
 from conftest import graph_from_edges, path_tree, star_tree
 
@@ -182,15 +183,6 @@ class TestTreePlusEdge:
             expected[v] += (u,)
             assert list(g.adjacency) == expected
         assert [list(a) for a in t.adjacency] == rows
-
-
-def non_adjacent_pairs(tree):
-    return [
-        (u, v)
-        for u in range(tree.n)
-        for v in range(u + 1, tree.n)
-        if v not in tree.adjacency[u]
-    ]
 
 
 class TestTreeSumOncePerTree:

@@ -28,6 +28,7 @@ from insetedge.bounds import _family_table
 from insetedge.cli import BEST_MAX_N, main
 from insetedge.errors import NoCandidates, RouteMismatch
 from insetedge.delta import delta_from_sizes
+from insetedge.oracle import non_adjacent_pairs
 from insetedge.randgen import prufer_decode
 from insetedge.search import _candidates, _kept_count, _non_adjacent_count, _seed
 from insetedge.tree import _path_sizes
@@ -488,7 +489,8 @@ class TestOracleStrategy:
         "t", [random_labeled_tree(24, 3), path_tree(20), star_tree(12)], ids=["random", "path", "star"]
     )
     def test_scores_every_walked_pair(self, monkeypatch, t):
-        # the cap never reaches the oracle: its walk yields every pair
+        # the oracle scores every non-adjacent pair once and skips none: as
+        # many pairs as the exhaustive walk meets, and the same report
         calls = []
         oracle = insetedge.search.delta_oracle
 
@@ -501,6 +503,52 @@ class TestOracleStrategy:
         assert len(calls) == len(set(calls)) == r.evaluated == len(candidate_pairs(t))
         exhaustive = best_edge(t)
         assert (r.best_pairs, r.best_delta) == (exhaustive.best_pairs, exhaustive.best_delta)
+
+    @pytest.mark.parametrize("t", [path_tree(7), random_labeled_tree(24, 3)], ids=["p7", "random"])
+    def test_never_walks(self, monkeypatch, t):
+        expected = best_edge(t, "oracle")
+
+        def no_walk(*args):
+            raise AssertionError("the oracle strategy walked")
+
+        monkeypatch.setattr(insetedge.search, "_walk", no_walk)
+        assert best_edge(t, "oracle") == expected
+
+    def test_finds_a_pair_the_walk_misses(self, monkeypatch, p7):
+        # a walk that skips P_7's one best pair hides it from the formula
+        # strategies, whose seed it was, and not from the oracle
+        candidates = insetedge.search._candidates
+
+        def dropping(tree, pruned, floor):
+            pairs, sizes, cum = candidates(tree, pruned, floor)
+            return ((u, v, d) for u, v, d in pairs if (u, v) != (1, 5)), sizes, cum
+
+        monkeypatch.setattr(insetedge.search, "_candidates", dropping)
+        with pytest.raises(RouteMismatch, match="seed"):
+            best_edge(p7)
+        r = best_edge(p7, "oracle")
+        assert (r.best_pairs, r.best_delta) == (((1, 5),), 16)
+
+
+def assert_pairs_match_walk(t):
+    """oracle.non_adjacent_pairs, which reads only the adjacency, against
+    the closed count and the pairs the exhaustive walk meets: two
+    enumerations that share no code."""
+    pairs = non_adjacent_pairs(t)
+    assert pairs == sorted(pairs)
+    assert len(pairs) == _non_adjacent_count(t)
+    assert set(pairs) == set(candidate_pairs(t))
+
+
+class TestNonAdjacentPairs:
+    @given(t=savings_trees())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_walk(self, t):
+        assert_pairs_match_walk(t)
+
+    @DEEP_WALK_TREES
+    def test_matches_deep_walks(self, t):
+        assert_pairs_match_walk(t)
 
 
 def maximizing_rows(n):

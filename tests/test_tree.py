@@ -12,6 +12,7 @@ from insetedge import (
     anatomize,
     best_edge,
     bfs_distances,
+    delta_oracle,
     leaves,
     parse_tree,
     pruning_ratio,
@@ -356,8 +357,11 @@ class TestFootprint:
             sweep_path(t, x, y)
             wiener_tree_linear(t)
             assert "edges" not in t.__dict__
-            assert t.edges is t.edges
+            # the converse: the oracle's one-entry cache of the tree's own
+            # sum hashes the tree, and the hash reads edges
+            delta_oracle(t, x, y)
             assert "edges" in t.__dict__
+            assert t.edges is t.edges
 
     @pytest.mark.parametrize("n, seed", [(257, 0), (300, 1), (1024, 2), (4096, 3)])
     def test_one_int_object_per_value(self, n, seed):
