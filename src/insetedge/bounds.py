@@ -47,7 +47,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional
 
 from .delta import delta_direct, delta_from_weights
@@ -133,8 +132,6 @@ def family_delta(n: int, k: int, w_x: int, w_y: int) -> int:
     return delta_from_weights(k, weights_x, weights_y)
 
 
-# one entry: audit reads the table that its family_optimum call just built
-@lru_cache(maxsize=1)
 def _family_table(n: int) -> tuple[tuple[int, int, int, int], ...]:
     """(k, w_x, w_y, exact_case_formula) for 3 <= k <= n with the balanced
     anchor split w_x = floor(m/2), w_y = ceil(m/2), m = n - k + 2, in order

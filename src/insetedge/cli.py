@@ -63,7 +63,7 @@ EXTREMAL_MAX_N = 16384
 # 3.6 s and 230 MiB at 10^6
 RANDOM_MAX_N = 100000
 # largest `random` n * count: 0.7-0.8 s for 10000 trees of 50, 1.1-1.4 s
-# and 46 MiB for 5 trees of 100000; with `--stats pruning`, 2.3-2.5 s for
+# and 46 MiB for 5 trees of 100000; with `--stats pruning`, 2.2-2.5 s for
 # 125000 trees of 4 and 2.0-2.1 s and 82 MiB for 5 trees of 100000
 RANDOM_MAX_VERTICES = 500000
 

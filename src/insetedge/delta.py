@@ -109,11 +109,14 @@ class DeltaRecord(NamedTuple):
 
 def _check_weights(k: int, weights_x: Sequence[int], weights_y: Sequence[int]) -> None:
     """Raise KTooSmall for k < 3, then OutOfDomain unless each side has
-    exactly k // 2 weights: what both weight routes accept."""
+    exactly k // 2 weights, each at least 1 (a hanging weight counts its own
+    cycle vertex): what both weight routes accept."""
     if k < 3:
         raise KTooSmall(f"k={k}")
     if len(weights_x) != k // 2 or len(weights_y) != k // 2:
         raise OutOfDomain(f"k={k} needs {k // 2} weights a side, got {len(weights_x)} and {len(weights_y)}")
+    if min(weights_x) < 1 or min(weights_y) < 1:
+        raise OutOfDomain(f"weights must be >= 1, got {min(weights_x)} and {min(weights_y)}")
 
 
 def delta_from_weights(

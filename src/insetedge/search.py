@@ -50,9 +50,9 @@ takes all their savings from sweep's one big-integer product
 diameter's ends are leaves and its inner vertices are not, so the rule
 can drop only the outermost pair (p_0, p_D).  The walk meets the seed's
 pair again and yields it, at least as a tie, so the seed changes which
-pairs are summed and not the report.  best_edge scores each
-yielded pair from sizes and cum with delta.delta_from_sizes, one or two
-slices and C-level sums.
+pairs are summed and not the report.  The walk scores each pair it
+yields from sizes and cum with delta.delta_from_sizes, one or two slices
+and C-level sums, so the stacks never leave it.
 
 The oracle strategy has no part in the walk, the seed or the caps: it
 scores every pair of oracle.non_adjacent_pairs, which reads only the
@@ -136,29 +136,6 @@ def _kept_count(tree: Tree) -> int:
     return ((q - 1) * (q - 2) + near) // 2
 
 
-def _candidates(
-    tree: Tree, pruned: bool, floor: list[int]
-) -> tuple[Iterator[tuple[int, int, int]], list[int], list[int]]:
-    """Candidate pairs (u, v), u < v, at distance d >= 2 whose Chebyshev
-    caps reach the running best, each once, with the two depth stacks the
-    walk writes as it goes.  Take the path between u and v in the tree
-    rooted at the endpoint later in the root-0 preorder, with subtree sizes
-    s_0 = n, s_1, ..., s_d along it.  When (u, v, d) is yielded, sizes[j] =
-    s_j and cum[j] = s_1 + ... + s_j for j <= d.  Entries past those are
-    left from earlier pairs.  The stacks are rewritten in place: read them
-    before asking for the next pair.  With pruned, leaf pairs are dropped
-    by the pruning rule, and the walk from a leaf stops at the largest
-    distance the rule keeps.
-
-    floor is a one-entry list, the running best.  The walk yields a pair
-    only when no cap is below floor[0], which it reads again after each
-    yield, so the caller raises it as it scores; a negative floor skips
-    nothing."""
-    n = tree.n
-    sizes, cum = [n] * n, [0] * n
-    return _walk(tree, pruned, floor, sizes, cum), sizes, cum
-
-
 # one entry: a search, or a run of them over trees of one size, reads the
 # table of its n
 @lru_cache(maxsize=1)
@@ -186,11 +163,23 @@ def _cap_tables(n: int) -> list[tuple[int, int, int, int, tuple[int, ...]]]:
     return tables
 
 
-def _walk(
-    tree: Tree, pruned: bool, floor: list[int], sizes: list[int], cum: list[int]
-) -> Iterator[tuple[int, int, int]]:
-    """The pairs of _candidates, writing the stacks it is given."""
+def _walk(tree: Tree, pruned: bool, floor: list[int]) -> Iterator[tuple[int, int, int]]:
+    """Candidate pairs (u, v), u < v, at distance d >= 2 whose Chebyshev
+    caps reach the running best, each once, with their savings: (u, v,
+    savings).  Take the path between u and v in the tree rooted at the
+    endpoint later in the root-0 preorder, with subtree sizes s_0 = n, s_1,
+    ..., s_d along it.  The walk's depth stacks hold sizes[j] = s_j and
+    cum[j] = s_1 + ... + s_j for j <= d when it scores the pair with
+    delta_from_sizes; entries past those are left from earlier pairs.  With
+    pruned, leaf pairs are dropped by the pruning rule, and the walk from a
+    leaf stops at the largest distance the rule keeps.
+
+    floor is a one-entry list, the running best.  The walk yields a pair
+    only when no cap is below floor[0], which it reads again after each
+    yield, so the caller raises it as it scores; a negative floor skips
+    nothing."""
     n = tree.n
+    sizes, cum = [n] * n, [0] * n
     # in preorder ranks: each subtree is the run of ranks from its root to
     # its root + size - 1
     order, _, parent, size, leaf, depth = tree._root0
@@ -263,7 +252,8 @@ def _walk(
                     if top1 * rest1 // l1 + (top - top1) * (rests - rest1) // l2 < best:
                         continue
                 x = order[w]
-                yield (x, v, d) if x < v else (v, x, d)
+                savings = delta_from_sizes(d, sizes, cum)
+                yield (x, v, savings) if x < v else (v, x, savings)
                 best = floor[0]
             if not a or depth[r] - depth[a] >= limit:
                 break
@@ -309,8 +299,7 @@ def best_edge(tree: Tree, strategy: str = "exhaustive") -> SearchReport:
     else:
         # the walk reads the running best from floor, raised as pairs score
         floor = [_seed(tree, pruned)[0]]
-        pairs, sizes, cum = _candidates(tree, pruned, floor)
-        scored = ((u, v, delta_from_sizes(d, sizes, cum)) for u, v, d in pairs)
+        scored = _walk(tree, pruned, floor)
     best = floor[0]
     best_pairs: list[tuple[int, int]] = []
     for u, v, score in scored:

@@ -1,6 +1,7 @@
 """Shared fixtures: small named trees used throughout the suite, and the
 reference helpers only tests use."""
 
+from itertools import accumulate
 from typing import Iterable
 
 import pytest
@@ -8,8 +9,8 @@ import pytest
 from insetedge import SimpleGraph, Tree
 from insetedge.errors import IdOutOfRange, SameVertex
 from insetedge.oracle import non_adjacent_pairs
-from insetedge.search import STRATEGIES, _candidates
-from insetedge.tree import _rooted
+from insetedge.search import STRATEGIES, _walk
+from insetedge.tree import _path_sizes, _rooted
 
 
 def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> SimpleGraph:
@@ -48,8 +49,20 @@ def candidate_pairs(tree: Tree, strategy: str = "exhaustive") -> list[tuple[int,
         raise ValueError(f"unknown strategy {strategy!r}")
     if strategy == "oracle":
         return non_adjacent_pairs(tree)
-    pairs, _, _ = _candidates(tree, strategy == "pruned", [-1])
-    return [(u, v) for u, v, _ in pairs]
+    return [(u, v) for u, v, _ in _walk(tree, strategy == "pruned", [-1])]
+
+
+def root_path_stacks(tree: Tree, u: int, v: int) -> tuple[list[int], list[int]]:
+    """The depth stacks of the pair (u, v) as the search walk fills them,
+    built from _path_sizes alone: rooted at the endpoint later in the
+    root-0 preorder, sizes[j] = s_j along the path (sizes[0] = n) and
+    cum[j] = s_1 + ... + s_j (cum[0] = 0), for j up to the distance
+    len(sizes) - 1."""
+    rank = tree._root0[1]
+    root, other = (u, v) if rank[u] > rank[v] else (v, u)
+    # _path_sizes roots at its second argument and ends with that root
+    sizes = _path_sizes(tree, other, root)[1][::-1]
+    return sizes, [0, *accumulate(sizes[1:])]
 
 
 def path_tree(n: int) -> Tree:

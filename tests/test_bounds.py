@@ -74,9 +74,7 @@ class TestExactCaseFormula:
             raise AssertionError("family_delta called")
 
         monkeypatch.setattr("insetedge.bounds.family_delta", refuse)
-        _family_table.cache_clear()
         assert _family_table(16)[8] == (11, 3, 4, 234)
-        _family_table.cache_clear()
 
 
 class TestFamilyDelta:

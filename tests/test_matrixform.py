@@ -114,6 +114,16 @@ class TestDeltaViaMatrix:
             with pytest.raises(OutOfDomain):
                 route(a)
 
+    @pytest.mark.parametrize("weight", [0, -1, -3])
+    @pytest.mark.parametrize("side", ["weights_x", "weights_y"])
+    def test_weight_below_one(self, p5, side, weight):
+        # a hanging weight counts its own cycle vertex; at k = 5 a weight of
+        # -3 used to score -19 directly and overflow the matrix route
+        a = anatomize(p5, 0, 4)._replace(**{side: (weight, 1)})
+        for route in (delta_via_matrix, delta_direct):
+            with pytest.raises(OutOfDomain, match=">= 1"):
+                route(a)
+
     def test_spider(self, spider):
         assert delta_via_matrix(anatomize(spider, 0, 3)) == 4
 

@@ -28,12 +28,11 @@ from insetedge.bounds import _family_table
 from insetedge.cli import BEST_MAX_N, main
 from insetedge.errors import NoCandidates, RouteMismatch
 from insetedge.delta import delta_from_sizes
-from insetedge.oracle import non_adjacent_pairs
+from insetedge.oracle import delta_oracle, non_adjacent_pairs
 from insetedge.randgen import prufer_decode
-from insetedge.search import _candidates, _kept_count, _non_adjacent_count, _seed
-from insetedge.tree import _path_sizes
+from insetedge.search import _kept_count, _non_adjacent_count, _seed, _walk
 
-from conftest import candidate_pairs, path_tree, star_tree
+from conftest import candidate_pairs, path_tree, root_path_stacks, star_tree
 
 
 class TestCandidatePairs:
@@ -155,25 +154,24 @@ class TestOnePassPerRoot:
             assert pruning_ratio(t) == Fraction(pruned, evaluated + pruned)
 
 
-def assert_stack_scores_match_direct(t):
-    """Score every pair of the walk from the stacks as they stand when it
-    is yielded, check the stacks against the root path's sizes from
-    _path_sizes and their prefix sums, and return the walk's distances in
-    order.  With a floor of -1 the walk yields every pair it walks."""
-    rank = t._root0[1]
-    pairs, sizes, cum = _candidates(t, False, [-1])
+def assert_walk_scores_match_direct(t):
+    """Check the savings of every pair the walk yields against delta_direct
+    on its anatomy, and return the pairs' distances in walk order.  With a
+    floor of -1 the walk yields every pair it walks."""
     distances = []
-    for u, v, d in pairs:
-        # the walk roots each pair at its endpoint later in the preorder;
-        # _path_sizes roots at its second argument and ends with that root
-        root, other = (u, v) if rank[u] > rank[v] else (v, u)
-        expected = _path_sizes(t, other, root)[1][::-1]
-        assert sizes[0] == t.n
-        assert sizes[1 : d + 1] == expected[1:], (u, v, d)
-        assert cum[: d + 1] == [0, *accumulate(expected[1:])], (u, v, d)
-        assert delta_from_sizes(d, sizes, cum) == delta_direct(anatomize(t, u, v)), (u, v, d)
-        distances.append(d)
+    for u, v, savings in _walk(t, False, [-1]):
+        anatomy = anatomize(t, u, v)
+        assert savings == delta_direct(anatomy), (u, v)
+        distances.append(anatomy.k - 1)
     return distances
+
+
+def assert_walk_scores_match_oracle(t, pruned):
+    """From a floor of -1 the walk yields every pair it walks (the pairs of
+    candidate_pairs), each with the savings the brute-force oracle gives
+    it."""
+    for u, v, savings in _walk(t, pruned, [-1]):
+        assert savings == delta_oracle(t, u, v), (u, v)
 
 
 def chebyshev_cap(d, n, cum):
@@ -226,22 +224,34 @@ class TestSavings:
     @given(t=savings_trees())
     @settings(max_examples=60, deadline=None)
     def test_every_pair_matches_direct(self, t):
-        assert_stack_scores_match_direct(t)
+        assert_walk_scores_match_direct(t)
 
     @DEEP_WALK_TREES
     def test_deep_walk_backs_up_to_an_even_distance(self, t):
-        # entries of sizes and cum past d are left from deeper
-        # pairs: a pair at even d that follows a deeper one reads sizes up
-        # to d, and cum[d], which must be its own
-        distances = assert_stack_scores_match_direct(t)
+        # the walk's stack entries past d are left from deeper pairs: a
+        # pair at even d that follows a deeper one reads sizes up to d, and
+        # cum[d], which must be its own
+        distances = assert_walk_scores_match_direct(t)
         assert any(a > b and b % 2 == 0 for a, b in zip(distances, distances[1:]))
+
+    @pytest.mark.parametrize("pruned", [False, True])
+    @given(t=savings_trees())
+    @settings(max_examples=8, deadline=None)
+    def test_every_pair_matches_the_oracle(self, pruned, t):
+        assert_walk_scores_match_oracle(t, pruned)
+
+    @pytest.mark.parametrize("pruned", [False, True])
+    @DEEP_WALK_TREES
+    def test_deep_walks_match_the_oracle(self, pruned, t):
+        assert_walk_scores_match_oracle(t, pruned)
 
 
 def assert_cap_bounds_every_pair(t):
     # the second cap is never above the first: each tier only tightens
-    pairs, sizes, cum = _candidates(t, False, [-1])
-    for u, v, d in pairs:
-        score, cap = delta_from_sizes(d, sizes, cum), chebyshev_cap(d, t.n, cum)
+    for u, v, score in _walk(t, False, [-1]):
+        sizes, cum = root_path_stacks(t, u, v)
+        d = len(sizes) - 1
+        cap = chebyshev_cap(d, t.n, cum)
         assert cap >= score, (u, v, d)
         if d // 2 >= 2:
             assert cap >= two_block_cap(d, sizes) >= score, (u, v, d)
@@ -256,23 +266,17 @@ def watch_search(t, strategy):
     """best_edge's report, every pair its walk walks in order (the same
     walk with a floor of -1, which yields them all), and the set of pairs
     the walk yields to best_edge."""
-    pairs, _, _ = _candidates(t, strategy == "pruned", [-1])
-    walked = [(u, v) for u, v, _ in pairs]
+    walked = candidate_pairs(t, strategy)
     assert len(walked) == closed_count(t, strategy)
     yielded = set()
 
     def watched(tree, pruned, floor):
-        pairs, *stacks = _candidates(tree, pruned, floor)
-
-        def watch():
-            for u, v, d in pairs:
-                yielded.add((u, v))
-                yield u, v, d
-
-        return watch(), *stacks
+        for u, v, savings in _walk(tree, pruned, floor):
+            yielded.add((u, v))
+            yield u, v, savings
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(insetedge.search, "_candidates", watched)
+        mp.setattr(insetedge.search, "_walk", watched)
         return best_edge(t, strategy), walked, yielded
 
 
@@ -309,14 +313,16 @@ class TestChebyshevSkip:
     @settings(max_examples=40, deadline=None)
     def test_yields_exactly_the_pairs_both_caps_reach(self, strategy, t):
         # from the seed on, a pair leaves the walk iff its first cap and,
-        # for L >= 2, its second cap reach the best of the pairs before it
+        # for L >= 2, its second cap reach the best of the pairs before it;
+        # the caps read each pair's stacks from _path_sizes
         _, _, yielded = watch_search(t, strategy)
-        pairs, sizes, cum = _candidates(t, strategy == "pruned", [-1])
         best, expected = _seed(t, strategy == "pruned")[0], set()
-        for u, v, d in pairs:
+        for u, v, score in _walk(t, strategy == "pruned", [-1]):
+            sizes, cum = root_path_stacks(t, u, v)
+            d = len(sizes) - 1
             if chebyshev_cap(d, t.n, cum) >= best and (d // 2 < 2 or two_block_cap(d, sizes) >= best):
                 expected.add((u, v))
-                best = max(best, delta_from_sizes(d, sizes, cum))
+                best = max(best, score)
         assert yielded == expected
 
     def test_sums_under_a_twentieth_of_a_long_path(self):
@@ -336,11 +342,10 @@ class TestChebyshevSkip:
         # yield, so most pairs never leave it
         t = random_labeled_tree(80, 11)
         floor = [-1]
-        pairs, sizes, cum = _candidates(t, strategy == "pruned", floor)
         yielded = 0
-        for _, _, d in pairs:
+        for _, _, savings in _walk(t, strategy == "pruned", floor):
             yielded += 1
-            floor[0] = max(floor[0], delta_from_sizes(d, sizes, cum))
+            floor[0] = max(floor[0], savings)
         assert 0 < yielded < closed_count(t, strategy) // 4
 
 
@@ -517,13 +522,10 @@ class TestOracleStrategy:
     def test_finds_a_pair_the_walk_misses(self, monkeypatch, p7):
         # a walk that skips P_7's one best pair hides it from the formula
         # strategies, whose seed it was, and not from the oracle
-        candidates = insetedge.search._candidates
-
         def dropping(tree, pruned, floor):
-            pairs, sizes, cum = candidates(tree, pruned, floor)
-            return ((u, v, d) for u, v, d in pairs if (u, v) != (1, 5)), sizes, cum
+            return ((u, v, s) for u, v, s in _walk(tree, pruned, floor) if (u, v) != (1, 5))
 
-        monkeypatch.setattr(insetedge.search, "_candidates", dropping)
+        monkeypatch.setattr(insetedge.search, "_walk", dropping)
         with pytest.raises(RouteMismatch, match="seed"):
             best_edge(p7)
         r = best_edge(p7, "oracle")
