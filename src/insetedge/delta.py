@@ -173,5 +173,7 @@ def delta_direct(anatomy: CycleAnatomy) -> int:
 
 
 def ad_prime(d_prime: int, n: int) -> Fraction:
-    """Average-distance decrease: d_prime / C(n, 2), in lowest terms."""
+    """Average-distance decrease: d_prime / C(n, 2), in lowest terms; n >= 2."""
+    if n < 2:
+        raise OutOfDomain(f"n={n}")
     return Fraction(d_prime, n * (n - 1) // 2)

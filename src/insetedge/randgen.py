@@ -126,8 +126,10 @@ def exact_leaf_mean(n: int) -> float:
     A vertex is a leaf iff it is absent from the n-2 Prüfer symbols, each
     uniform over n, so the expectation is n * (1 - 1/n)^(n-2).  (The often
     quoted exponent n-1 is an off-by-one; the sample mean at n=50 sits ~16
-    standard errors from it and squarely on this value.)
+    standard errors from it and squarely on this value.)  Needs n >= 2.
     """
+    if n < 2:
+        raise OutOfDomain(f"n={n}")
     return n * (1.0 - 1.0 / n) ** (n - 2)
 
 

@@ -152,3 +152,9 @@ class TestAdPrime:
         f = ad_prime(5, 5)
         assert isinstance(f, Fraction)
         assert f == Fraction(1, 2)
+
+    @pytest.mark.parametrize("n", [-1, 0, 1])
+    def test_fewer_than_two_vertices(self, n):
+        # C(n, 2) is 0 at n = 0 and 1, which used to raise ZeroDivisionError
+        with pytest.raises(OutOfDomain):
+            ad_prime(0, n)

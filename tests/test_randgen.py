@@ -102,6 +102,14 @@ class TestLeafStats:
         # absence probability of one vertex from n-2 uniform symbols
         assert exact_leaf_mean(50) == pytest.approx(50 * (49 / 50) ** 48)
         assert exact_leaf_mean(50) == pytest.approx(18.959, abs=0.001)
+        # the one tree on two vertices has both ends as leaves
+        assert exact_leaf_mean(2) == 2
+
+    @pytest.mark.parametrize("n", [-1, 0, 1])
+    def test_exact_mean_below_two(self, n):
+        # 1/n or 0 ** -1 used to raise ZeroDivisionError at n = 0 and 1
+        with pytest.raises(OutOfDomain):
+            exact_leaf_mean(n)
 
     def test_small_n_brute_force(self):
         # enumerate all n^(n-2) labeled trees and average the leaf counts

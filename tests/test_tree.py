@@ -110,6 +110,13 @@ class TestParse:
             back = parse_tree(serialize_tree(t))
             assert back == t and hash(back) == hash(t)
 
+    def test_not_equal_to_other_types(self, spider):
+        # __eq__ returns NotImplemented, so Python falls back to identity
+        assert spider.__eq__(spider.edges) is NotImplemented
+        assert not spider == "x"
+        assert spider != object()
+        assert spider != (spider.n, spider.edges)
+
     def test_serialize_canonical(self):
         t = Tree.from_edges(3, [(2, 1), (1, 0)])
         assert serialize_tree(t) == "3\n0 1\n1 2\n"
