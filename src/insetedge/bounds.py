@@ -69,34 +69,21 @@ def claimed_upper(n: int) -> int:
 
 
 def claimed_case_formula(n: int, k: int) -> int:
-    """Claimed maximal savings at fixed cycle length k (three parity cases)."""
-    m = n - k + 2  # total weight at the two anchors
-    if k < 3 or k > n or m < 2:
+    """Claimed maximal savings at fixed cycle length k: with m = n - k + 2,
+    (k - 2) floor(m/2) ceil(m/2) + a m / 4 + b / 2 - c / 8, where the
+    claim's three parity cases each give one row (a, b, c)."""
+    if k < 3 or k > n:
         raise OutOfDomain(f"n={n}, k={k}")
-    anchor = (m // 2) * ((m + 1) // 2) * (k - 2)
-    if k % 2 == 1:
-        value = (
-            Fraction(anchor)
-            + Fraction((k - 3) ** 2 * m, 4)
-            + Fraction((k - 5) ** 2, 2)
-            - Fraction((k - 5) * (k - 3), 8)
-        )
+    m = n - k + 2  # total weight at the two anchors
+    if k % 2:
+        a, b, c = (k - 3) ** 2, (k - 5) ** 2, (k - 5) * (k - 3)
     elif k % 4 == 2:
-        value = (
-            Fraction(anchor)
-            + Fraction((k - 2) * (k - 4) * m, 4)
-            + Fraction((k - 4) * (k - 6), 2)
-            - Fraction((k - 6) * (k - 2), 8)
-        )
-    else:  # k % 4 == 0
-        value = (
-            Fraction(anchor)
-            + Fraction((k - 2) * (k - 4) * m, 4)
-            + Fraction((k - 4) * (k - 6), 2)
-            - Fraction((k - 4) ** 2, 8)
-        )
-    assert value.denominator == 1
-    return int(value)
+        a, b, c = (k - 2) * (k - 4), (k - 4) * (k - 6), (k - 6) * (k - 2)
+    else:
+        a, b, c = (k - 2) * (k - 4), (k - 4) * (k - 6), (k - 4) ** 2
+    eighths = 8 * (k - 2) * (m // 2) * ((m + 1) // 2) + 2 * a * m + 4 * b - c
+    assert eighths % 8 == 0
+    return eighths // 8
 
 
 def exact_case_formula(n: int, k: int) -> int:
@@ -358,9 +345,7 @@ def audit(n: int, exhaustive_limit: int = 0) -> BoundsReport:
     already the exact maximum (the convexity lemma in the module
     docstring), so each discrepancy on a claimed bound is an error in the
     claim.  Every failed check is one discrepancy record, in the order
-    checked."""
-    if n < 5:
-        raise OutOfDomain(f"n={n} < 5")
+    checked.  family_optimum raises OutOfDomain for n < 5."""
     discrepancies: list[dict] = []
 
     def check(ok: bool, quantity_a: str, value_a, quantity_b: str, value_b, note: str) -> bool:

@@ -72,26 +72,21 @@ def _frac(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _int_at_least(low: int, rule: str):
+    """An argparse type: an int of at least low, else the usage error
+    "<rule>, got <value>".  argparse names it int in its own errors."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{rule}, got {value}")
+        return value
+
+    parse.__name__ = "int"
+    return parse
 
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
-    return value
-
-
-def _sweep_size(text: str) -> int:
-    # a path needs k >= 3 vertices before its end pair closes a cycle
-    value = int(text)
-    if value < 3:
-        raise argparse.ArgumentTypeError(f"a swept path needs at least 3 vertices, got {value}")
-    return value
+_positive_int = _int_at_least(1, "must be a positive integer")
 
 
 def _load(path: str) -> Tree:
@@ -140,7 +135,7 @@ def _cmd_delta(args) -> dict:
     x, y = args.edge
     if args.method == "oracle" and tree.n > ORACLE_MAX_N:
         raise OutOfDomain(f"n={tree.n}: delta --method oracle supported for n <= {ORACLE_MAX_N}")
-    # checks the pair as tree_plus_edge does: the same errors, in the same order
+    # anatomize checks the pair with tree._check_pair, as tree_plus_edge does
     anatomy = anatomize(tree, x, y)
     k = anatomy.k
     if args.method == "direct" and k > EXTREMAL_MAX_N:
@@ -160,7 +155,7 @@ def _cmd_delta(args) -> dict:
 def _cmd_sweep(args) -> dict:
     tree = _load(args.file)
     x, y = args.path_pair
-    # the O(k) climb of the kept root-0 pass, with sweep_path's pair errors
+    # the O(k) climb of the kept root-0 pass, after sweep_path's pair check
     k = len(_path_sizes(tree, x, y)[0])
     if k > BENCH_MAX_SIZE:
         raise OutOfDomain(f"k={k}: sweep supported for paths of k <= {BENCH_MAX_SIZE} vertices")
@@ -350,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="audit claimed extremal bounds")
     p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--exhaustive-limit", type=_nonnegative_int, default=0)
+    p.add_argument("--exhaustive-limit", type=_int_at_least(0, "must be a non-negative integer"), default=0)
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("extremal", help="build an extremal-family tree")
@@ -373,7 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("bench", help="sweep vs recompute operation-count scaling")
-    p.add_argument("--sizes", nargs="+", type=_sweep_size, default=[256, 512, 1024, 2048])
+    # a path needs k >= 3 vertices before its end pair closes a cycle
+    sweep_size = _int_at_least(3, "a swept path needs at least 3 vertices")
+    p.add_argument("--sizes", nargs="+", type=sweep_size, default=[256, 512, 1024, 2048])
     p.set_defaults(func=_cmd_bench)
 
     return parser

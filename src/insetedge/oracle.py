@@ -4,6 +4,8 @@ This is the brute-force reference that `inset verify`, `best --strategy
 oracle`, `delta --method oracle` and the bounds audit check the formulas
 against, so it is kept independent of the formula modules: it reads only
 the graph's adjacency.  All sums are exact Python integers.
+tree_plus_edge checks its pair with tree._check_pair, the one inset-edge
+check of the package, which reads the adjacency and nothing else.
 non_adjacent_pairs lists, from the adjacency alone, the pairs that
 `inset verify` and the oracle strategy score, so that neither takes its
 pairs from the search's walk.
@@ -21,8 +23,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import AdjacentPair, Disconnected, SameVertex
-from .tree import Tree
+from .errors import Disconnected
+from .tree import Tree, _check_pair
 
 
 class SimpleGraph(NamedTuple):
@@ -38,14 +40,10 @@ class SimpleGraph(NamedTuple):
 
 def tree_plus_edge(tree: Tree, x: int, y: int) -> SimpleGraph:
     """The unicyclic graph obtained by adding edge (x, y) to the tree; the
-    tree itself is left as it is.  Raises SameVertex, IdOutOfRange or
-    AdjacentPair, checked in that order, where the result would not be a
-    simple graph with one cycle."""
-    if x == y:
-        raise SameVertex(f"x == y == {x}")
-    tree.check_ids(x, y)
-    if y in tree.adjacency[x]:
-        raise AdjacentPair(f"({x}, {y}) is an edge of the tree")
+    tree itself is left as it is.  tree._check_pair, the one pair check,
+    raises SameVertex, IdOutOfRange or AdjacentPair where the result would
+    not be a simple graph with one cycle."""
+    _check_pair(tree, x, y)
     adj = list(tree.adjacency)
     adj[x] += (y,)
     adj[y] += (x,)

@@ -174,7 +174,9 @@ def parse_tree(text: str) -> Tree:
     """Parse an edge-list document: header line n, then n-1 lines 'u v'.
 
     Lines starting with '#' are comments; blank lines are skipped; LF and
-    CRLF both accepted.
+    CRLF both accepted.  Every other row, stripped of its surrounding
+    whitespace, must be ASCII with no '_': int() alone would also read
+    '1_0' as 10, other scripts' digits and a no-break space between ids.
     """
     rows = []
     for raw in text.splitlines():
@@ -186,6 +188,8 @@ def parse_tree(text: str) -> Tree:
         raise MalformedLine("empty document")
     # a wrong token count fails the unpacking, a non-integer token the int
     try:
+        if "_" in rows[0] or not rows[0].isascii():
+            raise ValueError
         (n,) = map(int, rows[0].split())
     except ValueError:
         raise MalformedLine(f"header must be a single integer, got {rows[0]!r}")
@@ -194,6 +198,8 @@ def parse_tree(text: str) -> Tree:
     edges = []
     for line in rows[1:]:
         try:
+            if "_" in line or not line.isascii():
+                raise ValueError
             u, v = map(int, line.split())
         except ValueError:
             raise MalformedLine(f"expected 'u v', got {line!r}")
@@ -264,9 +270,15 @@ def bfs_distances(tree: Tree, source: int) -> list[int]:
 
 
 def _check_pair(tree: Tree, x: int, y: int) -> None:
+    """The one check of an inset edge (x, y), which every route to the
+    savings and oracle.tree_plus_edge make: raise SameVertex, then
+    IdOutOfRange, then AdjacentPair unless x and y are distinct vertices
+    with d_T(x, y) >= 2.  It reads only the adjacency."""
     if x == y:
         raise SameVertex(f"x == y == {x}")
     tree.check_ids(x, y)
+    if y in tree.adjacency[x]:
+        raise AdjacentPair(f"({x}, {y}) is an edge of the tree")
 
 
 def _path_sizes(tree: Tree, x: int, y: int) -> tuple[list[int], list[int]]:
@@ -275,7 +287,8 @@ def _path_sizes(tree: Tree, x: int, y: int) -> tuple[list[int], list[int]]:
     kept root-0 pass to their lowest common ancestor a.  Below a on x's
     side, rooting at y leaves a vertex's subtree as it is; from a toward y,
     a vertex's subtree is everything outside the root-0 subtree of its
-    successor on the path.  Raises AdjacentPair unless d_T(x, y) >= 2."""
+    successor on the path.  _check_pair checks the pair first, so the
+    path has k >= 3 vertices."""
     _check_pair(tree, x, y)
     order, rank, parent, size, _, _ = tree._root0
     a, b = rank[x], rank[y]
@@ -292,8 +305,6 @@ def _path_sizes(tree: Tree, x: int, y: int) -> tuple[list[int], list[int]]:
     # up ends with a, and down (reversed) runs from a to y
     del up[-1]
     down.reverse()
-    if len(up) + len(down) == 2:
-        raise AdjacentPair(f"({x}, {y}) is an edge of the tree")
     n = tree.n
     sizes = [size[i] for i in up]
     sizes += [n - size[i] for i in down[1:]]

@@ -19,6 +19,7 @@ from insetedge import (
     random_labeled_tree,
     serialize_tree,
     sweep_path,
+    tree_plus_edge,
     wiener_tree_linear,
 )
 from insetedge.errors import (
@@ -69,12 +70,23 @@ class TestParse:
             ("3\n0 1\n1 a\n", "expected 'u v', got '1 a'"),
             ("3\n0 1\n1 2 3\n", "expected 'u v', got '1 2 3'"),
             ("3\n0 1\n2\n", "expected 'u v', got '2'"),
+            # int() alone reads each of these rows: '1_0' as 10, the
+            # Arabic-Indic digit three as 3, a no-break space as a space
+            ("11\n0 1_0\n", "expected 'u v', got '0 1_0'"),
+            ("\u0663\n0 1\n1 2\n", "header must be a single integer, got '\u0663'"),
+            ("3\n0\u00a01\n1 2\n", "expected 'u v', got '0\\xa01'"),
+            # the first faulty row wins
+            ("3\n1 a\n0 1_0\n", "expected 'u v', got '1 a'"),
         ],
     )
     def test_malformed_message(self, text, message):
         with pytest.raises(MalformedLine) as exc:
             parse_tree(text)
         assert str(exc.value) == message
+
+    def test_comments_hold_any_text(self):
+        t = parse_tree("# a Pr\u00fcfer_tree\n3\n0 1\n1 2\n")
+        assert t.edges == ((0, 1), (1, 2))
 
     def test_empty_document(self):
         with pytest.raises(MalformedLine):
@@ -284,6 +296,28 @@ class TestPathSizes:
                 insetedge.tree._path_sizes(spider, x, y)
         with pytest.raises(AdjacentPair):
             insetedge.tree._path_sizes(spider, 4, 0)
+
+        # every entry point raises tree._check_pair's error, or none does
+        def outcome(f, tree, x, y):
+            try:
+                f(tree, x, y)
+            except Exception as exc:
+                return type(exc), str(exc)
+            return None
+
+        for tree in (spider, path_tree(7)):
+            n = tree.n
+            raised = 0
+            for x in range(-1, n + 1):
+                for y in range(-1, n + 1):
+                    found = {
+                        outcome(f, tree, x, y)
+                        for f in (insetedge.tree._path_sizes, sweep_path, tree_plus_edge)
+                    }
+                    assert len(found) == 1, (x, y, found)
+                    raised += found != {None}
+            # every ordered pair of the ids -1 .. n but the non-adjacent ones
+            assert raised == (n + 2) ** 2 - (n * (n - 1) - 2 * (n - 1))
 
 
 class TestKeptRootedPass:
