@@ -20,6 +20,13 @@ of family_optimum finishes: the maximum over all trees on n vertices at
 cycle length k is the balanced row of _family_table(n), and the maximum
 over all trees is family_optimum(n).
 
+The lemma never moves a vertex that already hangs at an end, so it also
+bounds a pair one of whose ends carries a known weight w: the family
+configuration it reaches has a first anchor of at least w, and with m =
+n - k + 2 the anchor product is at most floor(m/2) ceil(m/2) for 2w <= m
+and w (m - w) above.  anchored_case_bound is that root bound; the search
+walk reads it as a distance limit per root (search.py).
+
 The path P_n attains that maximum.  Its pair (a, b), a < b, hangs the
 weights (a + 1, 1, ..., 1, n - b), the family configuration of cycle
 length k = b - a + 1, so every row of _family_table(n) is a pair of P_n:
@@ -95,11 +102,36 @@ def exact_case_formula(n: int, k: int) -> int:
     if k < 3 or k > n:
         raise OutOfDomain(f"n={n}, k={k}")
     m = n - k + 2
-    if k % 2:
-        c_1, c_0 = (k - 3) ** 2 // 4, (k - 3) * (k - 4) * (k - 5) // 24
-    else:
-        c_1, c_0 = (k - 2) * (k - 4) // 4, (k - 2) * (k - 4) * (k - 6) // 24
+    c_1, c_0 = _side_coefficients(k)
     return (k - 2) * (m // 2) * ((m + 1) // 2) + c_1 * m + c_0
+
+
+def _side_coefficients(k: int) -> tuple[int, int]:
+    """(c_1, c_0) of the family row at cycle length k >= 3: its savings are
+    (k - 2) w_x w_y + c_1 (w_x + w_y) + c_0."""
+    if k % 2:
+        return (k - 3) ** 2 // 4, (k - 3) * (k - 4) * (k - 5) // 24
+    return (k - 2) * (k - 4) // 4, (k - 2) * (k - 4) * (k - 6) // 24
+
+
+def anchored_case_bound(n: int, k: int, w: int) -> int:
+    """Most savings a shortcut edge closing a cycle of length k can reach in
+    a tree on n vertices when one end of its path already carries the
+    hanging weight w, 1 <= w <= m - 1 with m = n - k + 2: (k - 2) P + c_1 m
+    + c_0 with exact_case_formula's c_1 and c_0, where P = floor(m/2)
+    ceil(m/2) if 2w <= m and P = w (m - w) otherwise.
+
+    The convexity lemma (module docstring) moves every off-cycle vertex at
+    an inner position to an end and never moves one that sits at an end,
+    so it reaches a family configuration whose first anchor carries at
+    least w; the product of the two anchors is then at most P.  With 2w
+    <= m this is exact_case_formula(n, k)."""
+    m = n - k + 2
+    if k < 3 or k > n or not 1 <= w < m:
+        raise OutOfDomain(f"n={n}, k={k}, w={w}")
+    c_1, c_0 = _side_coefficients(k)
+    product = (m // 2) * ((m + 1) // 2) if 2 * w <= m else w * (m - w)
+    return (k - 2) * product + c_1 * m + c_0
 
 
 def _check_family(n: int, k: int, w_x: int, w_y: int) -> None:

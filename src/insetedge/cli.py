@@ -25,7 +25,16 @@ from .oracle import delta_oracle, non_adjacent_pairs
 from .randgen import Corpus, exact_leaf_mean, leaf_stats
 from .search import STRATEGIES, best_edge, pruning_ratio
 from .sweep import sweep_path
-from .tree import Tree, _edge_document, _path_sizes, anatomize, parse_tree, serialize_tree, wiener_tree_linear
+from .tree import (
+    Tree,
+    _decimal_text,
+    _edge_document,
+    _path_sizes,
+    anatomize,
+    parse_tree,
+    serialize_tree,
+    wiener_tree_linear,
+)
 
 
 # Work limits, each a domain error past it, measured on a 2-core x86-64
@@ -43,11 +52,12 @@ BOUNDS_MAX_N = 1024
 # largest `bounds --exhaustive-limit`: the scan visits all n^(n-2) labeled
 # trees, about 1 s at n = 8 and 20 s at n = 9
 EXHAUSTIVE_MAX_N = 8
-# largest tree `best` accepts (any strategy): the search walks every pair
-# and scores those its two caps cannot skip, worst on the path, where
-# `best` takes 0.2-0.3 s at n = 512, 0.8-1.0 s at 1024 and 4.2-5.3 s at
-# 2048 (best_edge alone 4.1-5.2 s of CPU at 2048); a random tree of 2048
-# takes 1.3-1.4 s (a loaded shared 2-core machine)
+# largest tree `best` accepts (any strategy): the search walks the pairs
+# within each root's distance limit and scores those its two caps cannot
+# skip, worst on random trees, where `best` takes 0.55-0.61 s at n = 2048
+# (0.36-0.40 s pruned); on the path it takes 0.10-0.15 s at 512,
+# 0.16-0.18 s at 1024 and 0.47-0.51 s at 2048, against 2.6-2.8 s at 2048
+# before the limit (a shared 2-core machine)
 BEST_MAX_N = 2048
 # largest `bench` size, and largest path length k of `sweep`: `bench` takes
 # 0.3-0.4 s and 35 MiB peak at 32768, 0.6-0.8 s and 53 MiB at 65536;
@@ -72,12 +82,23 @@ def _frac(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+def _decimal(text: str) -> int:
+    """An argparse type: an int written as a tree file writes one
+    (tree._decimal_text).  argparse names it int in its own errors."""
+    if not _decimal_text(text):
+        raise ValueError(text)
+    return int(text)
+
+
+_decimal.__name__ = "int"
+
+
 def _int_at_least(low: int, rule: str):
-    """An argparse type: an int of at least low, else the usage error
+    """An argparse type: a _decimal of at least low, else the usage error
     "<rule>, got <value>".  argparse names it int in its own errors."""
 
     def parse(text: str) -> int:
-        value = int(text)
+        value = _decimal(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"{rule}, got {value}")
         return value
@@ -329,13 +350,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("delta", help="savings of one shortcut edge")
     p.add_argument("file")
-    p.add_argument("-e", "--edge", nargs=2, type=int, required=True, metavar=("U", "V"))
+    p.add_argument("-e", "--edge", nargs=2, type=_decimal, required=True, metavar=("U", "V"))
     p.add_argument("--method", choices=("direct", "matrix", "oracle"), default="direct")
     p.set_defaults(func=_cmd_delta)
 
     p = sub.add_parser("sweep", help="savings of the nested shortcut edges along one path")
     p.add_argument("file")
-    p.add_argument("-p", "--path-pair", nargs=2, type=int, required=True, metavar=("X", "Y"))
+    p.add_argument("-p", "--path-pair", nargs=2, type=_decimal, required=True, metavar=("X", "Y"))
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("best", help="optimal shortcut edge(s)")
@@ -359,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("random", help="seeded random-tree corpus and statistics")
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--count", type=_positive_int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_decimal, default=0)
     p.add_argument("--stats", choices=("leaves", "pruning"), default=None)
     p.set_defaults(func=_cmd_random)
 

@@ -54,6 +54,22 @@ pairs are summed and not the report.  The walk scores each pair it
 yields from sizes and cum with delta.delta_from_sizes, one or two slices
 and C-level sums, so the stacks never leave it.
 
+Each root also has a distance limit, from the convexity lemma (see
+bounds.py).  Root r's partners all come before it in the root-0
+preorder and lie outside its root-0 subtree, so every path from r leaves
+through r's root-0 parent and that whole subtree, w = size[r] vertices,
+hangs at one end of the cycle.  The lemma moves every other off-cycle
+vertex to an end and never moves one already there, so a pair at
+distance d saves at most bounds.anchored_case_bound(n, d + 1, w).  That
+bound does not rise with w, and _far tabulates, once per walk from the
+starting floor, the largest distance whose bound still reaches it, per
+w.  The walk sets the limit of each root not a leaf under pruning to its
+entry: one lookup per root, and the walk's own distance test, subtree
+jump and stop on the ancestor climb apply it.  A skipped pair cannot
+reach the floor, which only rises, so it is no best pair; a tie with the
+floor is walked.  On P_2048 the limit leaves a quarter of the pairs to
+walk; on uniform random trees it leaves nearly all.
+
 The oracle strategy has no part in the walk, the seed or the caps: it
 scores every pair of oracle.non_adjacent_pairs, which reads only the
 tree's adjacency, with delta_oracle, so a pair the walk missed would
@@ -68,12 +84,15 @@ that count and walks no pair.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
+from math import isqrt
 from typing import Iterator
 
+from .bounds import _side_coefficients, anchored_case_bound
 from .delta import delta_direct, delta_from_sizes
 from .errors import NoCandidates, RouteMismatch
 from .oracle import delta_oracle, non_adjacent_pairs
@@ -163,6 +182,60 @@ def _cap_tables(n: int) -> list[tuple[int, int, int, int, tuple[int, ...]]]:
     return tables
 
 
+# one entry, as _cap_tables
+@lru_cache(maxsize=1)
+def _limit_tables(n: int) -> tuple[list[tuple[int, int]], list[int]]:
+    """For each distance d < n, with k = d + 1 and m = n - d + 1: (m, c_1 m
+    + c_0) with the c_1 and c_0 of bounds.exact_case_formula, and the bound
+    of the heaviest root that reaches d, anchored_case_bound(n, k, n - d),
+    which is the least bound at d.  Entries below d = 2 are placeholders."""
+    rows, ends = [(0, 0)] * 2, [-1] * 2
+    for d in range(2, n):
+        m = n - d + 1
+        c_1, c_0 = _side_coefficients(d + 1)
+        rows.append((m, c_1 * m + c_0))
+        ends.append(anchored_case_bound(n, d + 1, n - d))
+    return rows, ends
+
+
+# a pruned search straight after an exhaustive one on the same tree
+# usually has the same seed, and reads the same table
+@lru_cache(maxsize=1)
+def _far(n: int, D: int, best: int) -> list[int]:
+    """far[w] for 0 <= w <= n, at least 2: no pair farther than far[w] from
+    a root of root-0 subtree size w reaches best by anchored_case_bound.  D
+    is the tree's diameter.
+
+    At distance d the bound does not rise with w, so the weights whose
+    bound reaches best are those up to t_d, the largest w with (d - 1) P(w)
+    >= best - c_1 m - c_0 (above m / 2, P(w) = w (m - w): one isqrt), and
+    far[w] is the largest d <= D with t_d >= w.  A root of weight w reaches
+    no distance past n - w.  So past the first d* <= D whose heaviest root
+    reaches best, every root passes, and the roots up to n - d* get n: the
+    walk's own end.  d* comes from bisecting _limit_tables' list of those
+    bounds, which is not monotone near d = n; any d* is sound, since n
+    never cuts, and a root heavier than n - d* reaches only d < d*."""
+    rows, ends = _limit_tables(n)
+    cut = bisect_left(ends, best, 2, D + 1)
+    reach = n - cut if cut <= D else 0
+    far = [n] * (reach + 1) + [2] * (n - reach)
+    for d in range(cut - 1, 1, -1):
+        m, base = rows[d]
+        need = best - base
+        if need <= 0:
+            t = m - 1
+        else:
+            # P(w) >= ceil(need / (d - 1)) iff (2w - m)^2 <= m^2 - 4 ceil(..)
+            gap = m * m + 4 * (need // (1 - d))
+            if gap < 0:
+                continue
+            t = (m + isqrt(gap)) // 2
+        if t > reach:
+            far[reach + 1 : t + 1] = [d] * (t - reach)
+            reach = t
+    return far
+
+
 def _walk(tree: Tree, pruned: bool, floor: list[int]) -> Iterator[tuple[int, int, int]]:
     """Candidate pairs (u, v), u < v, at distance d >= 2 whose Chebyshev
     caps reach the running best, each once, with their savings: (u, v,
@@ -172,7 +245,8 @@ def _walk(tree: Tree, pruned: bool, floor: list[int]) -> Iterator[tuple[int, int
     cum[j] = s_1 + ... + s_j for j <= d when it scores the pair with
     delta_from_sizes; entries past those are left from earlier pairs.  With
     pruned, leaf pairs are dropped by the pruning rule, and the walk from a
-    leaf stops at the largest distance the rule keeps.
+    leaf stops at the largest distance the rule keeps; from any other root
+    it stops at the root's entry of _far's table for the starting floor.
 
     floor is a one-entry list, the running best.  The walk yields a pair
     only when no cap is below floor[0], which it reads again after each
@@ -197,6 +271,8 @@ def _walk(tree: Tree, pruned: bool, floor: list[int]) -> Iterator[tuple[int, int
     deepest = max(kept)
     caps = _cap_tables(n)
     best = floor[0]
+    # no pair farther than far[w] from a root of root-0 size w reaches best
+    far = _far(n, len(tree._diameter[0]) - 1, best)
     # as at root 1, whose one ancestor is 0
     if n > 1:
         rooted[0] = n - size[1]
@@ -214,7 +290,7 @@ def _walk(tree: Tree, pruned: bool, floor: list[int]) -> Iterator[tuple[int, int
         rooted[a] = n - size[r]
         v = order[r]
         from_leaf = pruned and leaf[r]
-        limit = deepest if from_leaf else n
+        limit = deepest if from_leaf else far[size[r]]
         droppable = every if from_leaf else leaf if pruned else none
         # ranks a .. c - 1 are ancestor a, then the subtrees of a's children
         # before c, in preorder; the first run starts past r's parent,

@@ -170,25 +170,37 @@ class CycleAnatomy(NamedTuple):
     weight_middle: Optional[int]
 
 
+def _decimal_text(text: str) -> bool:
+    """The one rule for integer text, in tree files and on the command
+    line: ASCII with no '_'.  int() alone would also read '1_0' as 10,
+    other scripts' digits and a no-break space between ids."""
+    return text.isascii() and "_" not in text
+
+
 def parse_tree(text: str) -> Tree:
     """Parse an edge-list document: header line n, then n-1 lines 'u v'.
 
-    Lines starting with '#' are comments; blank lines are skipped; LF and
-    CRLF both accepted.  Every other row, stripped of its surrounding
-    whitespace, must be ASCII with no '_': int() alone would also read
-    '1_0' as 10, other scripts' digits and a no-break space between ids.
+    Rows end at LF; CRLF is accepted, as the CR is stripped with the rest
+    of a row's surrounding whitespace.  Lines starting with '#' are
+    comments and blank lines are skipped.  Every other row must pass
+    _decimal_text, and its ids are split at ASCII whitespace, as str.split
+    splits them: a tab, VT, FF, the separators 0x1c to 0x1f or a lone CR
+    parts two ids as a space does, so rows that end at a lone CR run
+    together into one.  The whole text is tested once, and each row only
+    when the text fails, to find the row at fault.
     """
     rows = []
-    for raw in text.splitlines():
+    for raw in text.split("\n"):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         rows.append(line)
     if not rows:
         raise MalformedLine("empty document")
+    plain = _decimal_text(text)
     # a wrong token count fails the unpacking, a non-integer token the int
     try:
-        if "_" in rows[0] or not rows[0].isascii():
+        if not (plain or _decimal_text(rows[0])):
             raise ValueError
         (n,) = map(int, rows[0].split())
     except ValueError:
@@ -198,7 +210,7 @@ def parse_tree(text: str) -> Tree:
     edges = []
     for line in rows[1:]:
         try:
-            if "_" in line or not line.isascii():
+            if not (plain or _decimal_text(line)):
                 raise ValueError
             u, v = map(int, line.split())
         except ValueError:

@@ -24,13 +24,19 @@ from insetedge import (
 from insetedge.bounds import (
     ExhaustiveScan,
     _family_table,
+    anchored_case_bound,
     critical_points,
     exhaustive_scan,
     prufer_decode_batch,
 )
 from insetedge.delta import delta_from_weights
 from insetedge.errors import OutOfDomain
+from insetedge.oracle import non_adjacent_pairs
 from insetedge.randgen import SplitMix64, prufer_decode
+from insetedge.search import _far, _seed
+
+from conftest import path_tree, star_tree
+from test_search import DEEP_WALK_TREES, comb_tree, savings_trees, spine_tree
 
 
 class TestClaimedUpper:
@@ -196,6 +202,105 @@ class TestBuildFamilyTree:
     def test_bad_shape(self):
         with pytest.raises(OutOfDomain):
             build_family_tree(8, 6, 2, 2, "ring")
+
+
+def assert_root_bound_holds(t):
+    """The bound at each end of every pair, with the weight hanging at that
+    end, is at least the pair's exact savings."""
+    for x, y in non_adjacent_pairs(t):
+        anatomy = anatomize(t, x, y)
+        score = delta_direct(anatomy)
+        for w in (anatomy.weights_x[0], anatomy.weights_y[0]):
+            assert anchored_case_bound(t.n, anatomy.k, w) >= score, (x, y, w)
+
+
+def assert_far_is_the_largest_distance_reached(t, best):
+    """Each entry of the search's limit table against the bound itself: for
+    a root of root-0 size w, which reaches no distance past min(D, n - w),
+    the limit is the largest such d whose bound reaches best, at least 2.
+    An entry of n means no limit.  The table gives it to the lightest
+    roots, where it is sound whatever the bound says, and exact unless the
+    bound falls again near d = n (as on short paths)."""
+    n, D = t.n, len(t._diameter[0]) - 1
+    far = _far(n, D, best)
+    assert len(far) == n + 1
+    for w in range(1, n + 1):
+        reach = min(D, n - w)
+        hits = [d for d in range(2, reach + 1) if anchored_case_bound(n, d + 1, w) >= best]
+        if far[w] == n:
+            assert far[: w + 1] == [n] * (w + 1), w
+        else:
+            assert far[w] == max(hits, default=2), w
+
+
+class TestAnchoredCaseBound:
+    @given(t=savings_trees())
+    @settings(max_examples=40, deadline=None)
+    def test_bounds_every_pair(self, t):
+        assert_root_bound_holds(t)
+
+    @pytest.mark.parametrize(
+        "t",
+        [
+            *(spine_tree(n, spine, seed) for n, spine in ((40, 20), (60, 45)) for seed in range(3)),
+            *(path_tree(n) for n in (4, 5, 6, 7, 31, 64)),
+        ],
+    )
+    def test_bounds_every_pair_of_spines_and_paths(self, t):
+        assert_root_bound_holds(t)
+
+    @DEEP_WALK_TREES
+    def test_bounds_every_pair_of_deep_walks(self, t):
+        assert_root_bound_holds(t)
+
+    @pytest.mark.parametrize("shape", ["star", "path"])
+    @pytest.mark.parametrize("n", range(4, 15))
+    def test_exact_on_family_trees_at_the_heavier_end(self, n, shape):
+        # the lemma has nothing to move: the family pair saves exactly the
+        # bound at its heavier end, and at most the balanced row at the other
+        for k in range(3, n + 1):
+            m = n - k + 2
+            for w_x in range(1, m):
+                t, pair = build_family_tree(n, k, w_x, m - w_x, shape)
+                score = delta_direct(anatomize(t, *pair))
+                assert anchored_case_bound(n, k, max(w_x, m - w_x)) == score, (k, w_x)
+                assert anchored_case_bound(n, k, min(w_x, m - w_x)) >= score, (k, w_x)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 8, 9, 16, 31])
+    def test_a_light_end_gives_the_balanced_row(self, n):
+        # a heavy end gives the balanced row less (k - 2) times the product
+        # the split w, m - w falls short of the balanced one by
+        for k in range(3, n + 1):
+            m = n - k + 2
+            short = [0 if 2 * w <= m else (m // 2) * ((m + 1) // 2) - w * (m - w) for w in range(m)]
+            for w in range(1, m):
+                assert anchored_case_bound(n, k, w) == exact_case_formula(n, k) - (k - 2) * short[w], (k, w)
+
+    def test_domain(self):
+        for n, k, w in ((16, 2, 1), (16, 17, 1), (16, 10, 0), (16, 10, 8)):
+            with pytest.raises(OutOfDomain):
+                anchored_case_bound(n, k, w)
+
+
+class TestLimitTable:
+    @given(t=savings_trees().filter(lambda t: t.n >= 4), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_every_entry(self, t, data):
+        best = data.draw(st.integers(-1, family_optimum(max(t.n, 5))[3] + 1))
+        assert_far_is_the_largest_distance_reached(t, best)
+
+    @pytest.mark.parametrize(
+        "t",
+        [
+            *(spine_tree(n, spine, seed) for n, spine in ((40, 20), (80, 60)) for seed in range(2)),
+            *(path_tree(n) for n in (5, 6, 7, 12, 64, 200)),
+            star_tree(9),
+            comb_tree(5, 4),
+        ],
+    )
+    def test_every_entry_from_the_seeds(self, t):
+        for pruned in (False, True):
+            assert_far_is_the_largest_distance_reached(t, _seed(t, pruned)[0])
 
 
 class TestExhaustiveScan:

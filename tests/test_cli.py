@@ -472,6 +472,37 @@ class TestErrors:
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "--n", "1_0"],
+            ["bounds", "--n", "\u0663"],
+            ["random", "--n", "5", "--seed", "1_0"],
+            ["random", "--n", "5", "--seed", "-\u0663"],
+            ["extremal", "--n", "8", "--k", "6", "--wx", "2", "--wy", "\uff12"],
+            ["delta", "@", "-e", "0", "1_0"],
+            ["sweep", "@", "-p", "3", "\u0660"],
+        ],
+        ids=["bounds-n-underscore", "bounds-n-arabic-indic", "random-seed-underscore",
+             "random-seed-negative-arabic-indic", "extremal-wy-fullwidth", "delta-edge-underscore",
+             "sweep-pair-arabic-indic"],
+    )
+    def test_integer_text_a_tree_file_rejects_is_usage_error(self, capsys, p4_file, argv):
+        # the command line reads integers by the rule rows of a tree file
+        # follow: int() alone would read 1_0 as 10 and other scripts' digits
+        argv = [p4_file if a == "@" else a for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"invalid int value: {argv[-1]!r}" in captured.err
+
+    def test_seed_keeps_its_sign(self, capsys):
+        code, out = run(capsys, "random", "--n", "5", "--seed", "-3")
+        assert code == 0
+        assert out["seed"] == -3
+
 
 # Fuzzing main(argv).  Numbers stay in [-3, 12] (the exhaustive limit at
 # 6 or below), or lie past the work limit of the flag they are drawn for,

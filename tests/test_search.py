@@ -30,7 +30,7 @@ from insetedge.errors import NoCandidates, RouteMismatch
 from insetedge.delta import delta_from_sizes
 from insetedge.oracle import delta_oracle, non_adjacent_pairs
 from insetedge.randgen import prufer_decode
-from insetedge.search import _kept_count, _non_adjacent_count, _seed, _walk
+from insetedge.search import STRATEGIES, _far, _kept_count, _non_adjacent_count, _seed, _walk
 
 from conftest import candidate_pairs, path_tree, root_path_stacks, star_tree
 
@@ -312,14 +312,23 @@ class TestChebyshevSkip:
     @given(t=savings_trees().filter(lambda t: t.n >= 4))
     @settings(max_examples=40, deadline=None)
     def test_yields_exactly_the_pairs_both_caps_reach(self, strategy, t):
-        # from the seed on, a pair leaves the walk iff its first cap and,
-        # for L >= 2, its second cap reach the best of the pairs before it;
-        # the caps read each pair's stacks from _path_sizes
+        # from the seed on, a pair leaves the walk iff it lies within its
+        # root's limit and its first cap and, for L >= 2, its second cap
+        # reach the best of the pairs before it; the caps read each pair's
+        # stacks from _path_sizes.  The limit is the seed's table entry for
+        # the root's root-0 subtree size, the root being the end later in
+        # the root-0 preorder; a pruned walk from a leaf keeps its own
         _, _, yielded = watch_search(t, strategy)
-        best, expected = _seed(t, strategy == "pruned")[0], set()
-        for u, v, score in _walk(t, strategy == "pruned", [-1]):
+        pruned = strategy == "pruned"
+        best, expected = _seed(t, pruned)[0], set()
+        far = _far(t.n, len(t._diameter[0]) - 1, best)
+        _, rank, _, size, leaf, _ = t._root0
+        for u, v, score in _walk(t, pruned, [-1]):
             sizes, cum = root_path_stacks(t, u, v)
             d = len(sizes) - 1
+            r = max(rank[u], rank[v])
+            if d > far[size[r]] and not (pruned and leaf[r]):
+                continue
             if chebyshev_cap(d, t.n, cum) >= best and (d // 2 < 2 or two_block_cap(d, sizes) >= best):
                 expected.add((u, v))
                 best = max(best, score)
@@ -347,6 +356,19 @@ class TestChebyshevSkip:
             yielded += 1
             floor[0] = max(floor[0], savings)
         assert 0 < yielded < closed_count(t, strategy) // 4
+
+
+class TestRootLimit:
+    def test_walks_a_quarter_of_a_long_path(self):
+        # with the caps off (a floor of -1) and the limits of the seed's
+        # table, the walk meets only the pairs within each root's limit:
+        # about a quarter of P_512's
+        t = path_tree(512)
+        far = _far(t.n, len(t._diameter[0]) - 1, _seed(t, False)[0])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(insetedge.search, "_far", lambda n, D, best: far)
+            walked = sum(1 for _ in _walk(t, False, [-1]))
+        assert 3 * walked < _non_adjacent_count(t)
 
 
 class TestSeed:
@@ -666,6 +688,17 @@ class TestPrunedCompleteness:
                 continue
             assert best_edge(t, "pruned").best_delta == best_edge(t).best_delta
             checked += 1
+
+    def test_even_distance_where_the_one_step_exchange_fails(self):
+        # P_9 on 0 .. 8 with five leaves hung at 3 (n = 14): the leaf pair
+        # (8, 0) at distance 8 saves more than (7, 0), its neighbour one
+        # step in, so the exchange that proves the rule's odd half does not
+        # carry over to even distances.  The rule still keeps the maximum
+        t = Tree.from_edges(14, [(i, i + 1) for i in range(8)] + [(3, v) for v in range(9, 14)])
+        assert delta_direct(anatomize(t, 8, 0)) == 35 > delta_direct(anatomize(t, 7, 0)) == 32
+        for strategy in STRATEGIES:
+            r = best_edge(t, strategy)
+            assert (r.best_pairs, r.best_delta) == (((3, 7),), 65), strategy
 
 
 class TestPruningRatio:

@@ -77,6 +77,15 @@ class TestParse:
             ("3\n0\u00a01\n1 2\n", "expected 'u v', got '0\\xa01'"),
             # the first faulty row wins
             ("3\n1 a\n0 1_0\n", "expected 'u v', got '1 a'"),
+            # rows end only at LF: a Unicode line break stays inside the row
+            ("3\u20280 1\u20281 2", "header must be a single integer, got '3\\u20280 1\\u20281 2'"),
+            ("3\n0 1\x851 2\n", "expected 'u v', got '0 1\\x851 2'"),
+            # and a lone CR separates ids, as str.split does, so rows ended
+            # by CR alone run together into one
+            ("3\r0 1\r1 2\r", "header must be a single integer, got '3\\r0 1\\r1 2'"),
+            ("3\n0 1\r1 2\n", "expected 'u v', got '0 1\\r1 2'"),
+            # a comment with any text turns on the per-row test
+            ("# Pr\u00fcfer\n11\n0 1_0\n", "expected 'u v', got '0 1_0'"),
         ],
     )
     def test_malformed_message(self, text, message):
@@ -86,6 +95,11 @@ class TestParse:
 
     def test_comments_hold_any_text(self):
         t = parse_tree("# a Pr\u00fcfer_tree\n3\n0 1\n1 2\n")
+        assert t.edges == ((0, 1), (1, 2))
+
+    @pytest.mark.parametrize("sep", ["\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\r", " \t "])
+    def test_ascii_whitespace_inside_a_row_separates_ids(self, sep):
+        t = parse_tree(f"3\n0{sep}1\n{sep}1{sep}2{sep}\n")
         assert t.edges == ((0, 1), (1, 2))
 
     def test_empty_document(self):
