@@ -53,11 +53,14 @@ BOUNDS_MAX_N = 1024
 # trees, about 1 s at n = 8 and 20 s at n = 9
 EXHAUSTIVE_MAX_N = 8
 # largest tree `best` accepts (any strategy): the search walks the pairs
-# within each root's distance limit and scores those its two caps cannot
-# skip, worst on random trees, where `best` takes 0.55-0.61 s at n = 2048
-# (0.36-0.40 s pruned); on the path it takes 0.10-0.15 s at 512,
-# 0.16-0.18 s at 1024 and 0.47-0.51 s at 2048, against 2.6-2.8 s at 2048
-# before the limit (a shared 2-core machine)
+# within each root's distance limit, steps over runs of sibling leaves and
+# scores the pairs its two caps cannot skip.  Worst on random trees, where
+# `best` takes 0.63-0.67 s at n = 2048 (0.35-0.36 s pruned), against
+# 0.69-0.73 s (0.43-0.49 s) without the leaf jump; on the path, where it
+# changes nothing, it takes 0.12-0.13 s at 512, 0.19-0.20 s at 1024 and
+# 0.56-0.57 s at 2048 (best of five fresh processes per tree, a shared
+# 2-core machine).  The walk's stride tables add 20-71 KB to a search's
+# peak memory at 2048 (tracemalloc)
 BEST_MAX_N = 2048
 # largest `bench` size, and largest path length k of `sweep`: `bench` takes
 # 0.3-0.4 s and 35 MiB peak at 32768, 0.6-0.8 s and 53 MiB at 65536;

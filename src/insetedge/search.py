@@ -5,6 +5,40 @@ a leaf and the endpoint distance is outside {2, 3, 4, 6}: for any other
 leaf pair there is a non-leaf candidate at least as good, so the pruned
 search keeps the maximum (for n > 6, non-star trees).
 
+The rule's odd half follows from an exchange identity.  Root the tree at
+v and take the path v = p_0, ..., p_D = u, D >= 3, with sizes s_i (s_0 =
+n), hanging weights w_i = s_i - s_{i+1} for i < D and w_D = s_D, and H =
+D // 2.  Then
+
+    delta(u, v) - delta(p_{D-1}, v)
+        = w_D (n - s_H) - sum_{i=H+1}^{D-1} w_i (n - s_{i-H}).
+
+In delta.py's ramp sums R_D(m) = sum_{j=1}^{D-m} s_{j+m} (n - s_j), the
+path to p_{D-1} has the same sizes, one fewer, so
+
+    R_{D-1}(m) = R_D(m) - s_D (n - s_{D-m}),
+
+and with s_{D+1} = 0, R_D(H) - R_D(H + 1) = sum_{i=H+1}^{D} w_i (n -
+s_{i-H}), whose last term is s_D (n - s_{D-H}).  For odd D = 2H + 1,
+delta(u, v) = 2 R_D(H + 1) and delta(p_{D-1}, v) = R_{D-1}(H) +
+R_{D-1}(H + 1), so the difference is R_D(H + 1) - R_D(H) plus the
+shifts s_D (n - s_{H+1}) and s_D (n - s_H); the first cancels the last
+term.  For even D = 2H, delta(u, v) = R_D(H) + R_D(H + 1) and
+delta(p_{D-1}, v) = 2 R_{D-1}(H), so the difference is R_D(H + 1) -
+R_D(H) plus twice the shift s_D (n - s_H); one cancels the last term.
+So:
+
+    (a) for odd D >= 5 and 2 s_D <= s_{D-1}, which every leaf u meets,
+        delta(u, v) < delta(p_{D-1}, v): the term i = D - 1 is
+        w_{D-1} (n - s_H) >= s_D (n - s_H), and the term i = H + 1 <
+        D - 1 is at least 1.  No best pair has a leaf end at an odd
+        distance >= 5;
+    (b) at D = 3 the difference is (s_3 - w_2)(n - s_1), so a leaf ties its
+        neighbour when w_2 = 1, and 3 is an exception distance.
+
+At even D the one-step exchange can fail, and the rule's even half has
+no proof here.
+
 A pair is scored by delta.delta_from_sizes from the subtree sizes along
 its path, without a cycle anatomy.  Each pair is walked once, from the
 endpoint that comes later in the preorder of the tree's kept root-0 pass.
@@ -48,9 +82,10 @@ keeps.  The diagonals are the nested family sweep.py scores, so _seed
 takes all their savings from sweep's one big-integer product
 (_family_savings) and picks the first best with max and list.index.  A
 diameter's ends are leaves and its inner vertices are not, so the rule
-can drop only the outermost pair (p_0, p_D).  The walk meets the seed's
-pair again and yields it, at least as a tie, so the seed changes which
-pairs are summed and not the report.  The walk scores each pair it
+can drop only the outermost pair (p_0, p_D).  The walk yields the seed's
+pair, at least as a tie, or a strictly better one (the leaf jump below
+may step over (p_0, p_D)), so the seed changes which pairs are summed
+and not the report.  The walk scores each pair it
 yields from sizes and cum with delta.delta_from_sizes, one or two slices
 and C-level sums, so the stacks never leave it.
 
@@ -70,16 +105,32 @@ reach the floor, which only rises, so it is no best pair; a tie with the
 floor is walked.  On P_2048 the limit leaves a quarter of the pairs to
 walk; on uniform random trees it leaves nearly all.
 
+The walk also steps over runs of sibling leaves.  Tree._root0 puts each
+vertex's leaf children straight after it, at ranks w + 1 .. w + l(w),
+so from a vertex w at distance d one step of hop[w] = 1 + l(w) passes
+all of w's leaf children, at d + 1.  The walk takes that step whenever
+no leaf there can be a best pair: with pruning when the rule drops
+d + 1, that is d + 1 not in {2, 3, 4, 6}; without, when d + 1 is odd and at
+least 5, where by (a) each pair (l, r) it skips scores strictly below
+(w, r), which it visits.  So the exhaustive walk skips the pairs whose
+end earlier in the preorder is a leaf other than rank 0, at an odd
+distance >= 5: 12-18% of a uniform random tree's pairs at n = 80 to
+1024.  The jump and the root's limit are one table, steps[d][w], per
+distinct limit, built on first use: hop or 1 per vertex at each distance
+below the limit, and the subtree size at it.  The walk reads its step
+there, with no test per visit.
+
 The oracle strategy has no part in the walk, the seed or the caps: it
 scores every pair of oracle.non_adjacent_pairs, which reads only the
 tree's adjacency, with delta_oracle, so a pair the walk missed would
 still be scored.
 
-The walk keeps no count.  evaluated depends only on the tree: every
-non-adjacent pair for exhaustive and oracle, and for pruned the pairs
-the rule keeps, which _kept_count counts in O(n) from the number of
-leaves at each distance up to 6 from every vertex.  pruning_ratio reads
-that count and walks no pair.
+The walk keeps no count.  evaluated counts the pairs a strategy
+considers, not the vertices its walk visits, and depends only on the
+tree: every non-adjacent pair for exhaustive and oracle, and for pruned
+the pairs the rule keeps, which _kept_count counts in O(n) from the
+number of leaves at each distance up to 6 from every vertex.
+pruning_ratio reads that count and walks no pair.
 """
 
 from __future__ import annotations
@@ -247,6 +298,8 @@ def _walk(tree: Tree, pruned: bool, floor: list[int]) -> Iterator[tuple[int, int
     pruned, leaf pairs are dropped by the pruning rule, and the walk from a
     leaf stops at the largest distance the rule keeps; from any other root
     it stops at the root's entry of _far's table for the starting floor.
+    Without, the pairs whose earlier end is a leaf other than rank 0, at
+    an odd distance >= 5, are stepped over: none is a best pair.
 
     floor is a one-entry list, the running best.  The walk yields a pair
     only when no cap is below floor[0], which it reads again after each
@@ -273,6 +326,23 @@ def _walk(tree: Tree, pruned: bool, floor: list[int]) -> Iterator[tuple[int, int
     best = floor[0]
     # no pair farther than far[w] from a root of root-0 size w reaches best
     far = _far(n, len(tree._diameter[0]) - 1, best)
+    # hop[w] = 1 + the number of leaf children of rank w, which are the
+    # ranks right after it; rank 0 is no child
+    hop = [1] * n
+    for i in range(1, n):
+        if leaf[i]:
+            hop[parent[i]] += 1
+    # steps[d][w]: how far the walk goes on from w at distance d, past w's
+    # leaf children when no leaf at d + 1 can be a best pair (see the
+    # module docstring)
+    ones = [1] * n
+    if pruned:
+        steps = [ones if d + 1 in kept else hop for d in range(n)]
+    else:
+        steps = [hop if d % 2 == 0 and d >= 4 else ones for d in range(n)]
+    # one table per root limit, built on first use: at the limit the walk
+    # skips the vertices below w, so no visit is farther
+    tables: dict[int, list[list[int]]] = {}
     # as at root 1, whose one ancestor is 0
     if n > 1:
         rooted[0] = n - size[1]
@@ -291,6 +361,9 @@ def _walk(tree: Tree, pruned: bool, floor: list[int]) -> Iterator[tuple[int, int
         v = order[r]
         from_leaf = pruned and leaf[r]
         limit = deepest if from_leaf else far[size[r]]
+        step = tables.get(limit)
+        if step is None:
+            step = tables[limit] = steps[:limit] + [size]
         droppable = every if from_leaf else leaf if pruned else none
         # ranks a .. c - 1 are ancestor a, then the subtrees of a's children
         # before c, in preorder; the first run starts past r's parent,
@@ -307,10 +380,9 @@ def _walk(tree: Tree, pruned: bool, floor: list[int]) -> Iterator[tuple[int, int
                 # c of a toward r
                 s = sizes[d] = rooted[u]
                 total = cum[d] = cum[d - 1] + s
-                # step past u first, so a skipped pair can continue; at the
-                # limit, skip the vertices below u
+                # step past u first, so a skipped pair can continue
                 w = u
-                u += 1 if d < limit else size[u]
+                u += step[d][u]
                 if droppable[w] and d not in kept:
                     continue
                 # yield only a pair whose caps reach best, in integers: a
@@ -384,7 +456,7 @@ def best_edge(tree: Tree, strategy: str = "exhaustive") -> SearchReport:
             best_pairs = [(u, v)]
         elif score == best:
             best_pairs.append((u, v))
-    # the walk yields the seed's pair again, at least as a tie
+    # the walk yields the seed's pair, at least as a tie, or a better one
     if not best_pairs:
         raise RouteMismatch(f"{strategy} walk scored no pair as high as its seed {best}")
     best_pairs.sort()

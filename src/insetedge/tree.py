@@ -58,6 +58,8 @@ class Tree:
     (size[i] counts i and every rank below it), whether each is a leaf and
     its depth below vertex 0.  A parent comes before its children, and
     each subtree is the run of ranks from its root to its root + size - 1.
+    Leaves come first among siblings: the l leaf children of rank i are
+    the ranks i + 1 .. i + l.
 
     For n > 256 every int in adjacency and _root0 is one of n + 1 shared
     objects, one per value 0..n, so a value is stored once however often
@@ -235,7 +237,10 @@ def _rooted(adjacency: Sequence[Sequence[int]], root: int) -> tuple[list[int], l
     """One depth-first pass from root, in preorder ranks: the order
     (rank i is vertex order[i]), parent ranks (parent[0] == 0) and rank
     (vertex -> rank, -1 for vertices not reached).  Every vertex comes
-    after its parent and each subtree is a contiguous run of ranks."""
+    after its parent and each subtree is a contiguous run of ranks.  A
+    vertex's leaf children (degree 1) come first, right after it, in
+    adjacency order; its other children follow in reverse adjacency
+    order."""
     # rank doubles as the visited mark: a pushed vertex holds its parent's
     # rank until it is popped
     rank = [-1] * len(adjacency)
@@ -251,8 +256,15 @@ def _rooted(adjacency: Sequence[Sequence[int]], root: int) -> tuple[list[int], l
         order.append(u)
         for w in adjacency[u]:
             if rank[w] < 0:
-                rank[w] = i
-                stack.append(w)
+                if len(adjacency[w]) == 1:
+                    # a leaf child has nothing below it: it takes the next
+                    # rank at once, as if pushed last and popped first
+                    rank[w] = len(order)
+                    parent.append(i)
+                    order.append(w)
+                else:
+                    rank[w] = i
+                    stack.append(w)
     return order, parent, rank
 
 

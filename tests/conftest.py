@@ -6,7 +6,7 @@ from typing import Iterable
 
 import pytest
 
-from insetedge import SimpleGraph, Tree
+from insetedge import SimpleGraph, Tree, bfs_distances
 from insetedge.errors import IdOutOfRange, SameVertex
 from insetedge.oracle import non_adjacent_pairs
 from insetedge.search import STRATEGIES, _walk
@@ -41,15 +41,30 @@ def path_between(tree: Tree, x: int, y: int) -> list[int]:
 
 
 def candidate_pairs(tree: Tree, strategy: str = "exhaustive") -> list[tuple[int, int]]:
-    """Every pair (u, v), u < v, a strategy scores, each once: for
-    exhaustive and pruned, all non-adjacent pairs or the leaf-pruned subset
-    as the search walks them, where a floor of -1 yields them all; for
-    oracle, oracle.non_adjacent_pairs."""
+    """Every pair (u, v), u < v, a strategy visits, each once: for
+    exhaustive and pruned, the pairs the search walks, where a floor of -1
+    yields them all (every non-adjacent pair but skipped_pairs, or the
+    leaf-pruned subset); for oracle, oracle.non_adjacent_pairs."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     if strategy == "oracle":
         return non_adjacent_pairs(tree)
     return [(u, v) for u, v, _ in _walk(tree, strategy == "pruned", [-1])]
+
+
+def skipped_pairs(tree: Tree) -> set[tuple[int, int]]:
+    """The pairs (u, v), u < v, the exhaustive walk steps over, from
+    bfs_distances: the end earlier in the root-0 preorder is a leaf other
+    than rank 0, and the distance is odd and at least 5."""
+    rank = tree._root0[1]
+    pairs = set()
+    for x in range(tree.n):
+        if rank[x] and len(tree.adjacency[x]) == 1:
+            dist = bfs_distances(tree, x)
+            pairs.update(
+                (min(x, y), max(x, y)) for y in range(tree.n) if rank[y] > rank[x] and dist[y] >= 5 and dist[y] % 2
+            )
+    return pairs
 
 
 def root_path_stacks(tree: Tree, u: int, v: int) -> tuple[list[int], list[int]]:

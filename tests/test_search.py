@@ -1,5 +1,6 @@
 import json
 import random
+from collections import deque
 from fractions import Fraction
 from itertools import accumulate, product
 
@@ -30,9 +31,10 @@ from insetedge.errors import NoCandidates, RouteMismatch
 from insetedge.delta import delta_from_sizes
 from insetedge.oracle import delta_oracle, non_adjacent_pairs
 from insetedge.randgen import prufer_decode
+from insetedge.tree import _path_sizes
 from insetedge.search import STRATEGIES, _far, _kept_count, _non_adjacent_count, _seed, _walk
 
-from conftest import candidate_pairs, path_tree, root_path_stacks, star_tree
+from conftest import candidate_pairs, path_tree, root_path_stacks, skipped_pairs, star_tree
 
 
 class TestCandidatePairs:
@@ -149,6 +151,10 @@ class TestOnePassPerRoot:
         best_pairs, best, evaluated, pruned, pairs = reference_search(t, strategy)
         r = best_edge(t, strategy)
         assert (r.best_pairs, r.best_delta, r.evaluated, r.pruned) == (best_pairs, best, evaluated, pruned)
+        # the exhaustive walk steps over the leaf ends at odd distances >= 5
+        # that come earlier in the root-0 preorder
+        if strategy == "exhaustive":
+            pairs -= skipped_pairs(t)
         assert set(candidate_pairs(t, strategy)) == pairs
         if strategy == "pruned":
             assert pruning_ratio(t) == Fraction(pruned, evaluated + pruned)
@@ -258,16 +264,23 @@ def assert_cap_bounds_every_pair(t):
 
 
 def closed_count(t, strategy):
-    """The pairs a strategy's walk walks, counted without a walk."""
+    """The pairs a strategy considers, its evaluated, counted without a
+    walk."""
     return _kept_count(t) if strategy == "pruned" else _non_adjacent_count(t)
+
+
+def strategy_skips(t, strategy):
+    """The pairs a strategy considers and its walk steps over."""
+    return skipped_pairs(t) if strategy == "exhaustive" else set()
 
 
 def watch_search(t, strategy):
     """best_edge's report, every pair its walk walks in order (the same
     walk with a floor of -1, which yields them all), and the set of pairs
-    the walk yields to best_edge."""
+    the walk yields to best_edge.  The walked pairs and the skipped ones
+    together are the pairs the strategy considers."""
     walked = candidate_pairs(t, strategy)
-    assert len(walked) == closed_count(t, strategy)
+    assert len(walked) + len(strategy_skips(t, strategy)) == closed_count(t, strategy)
     yielded = set()
 
     def watched(tree, pruned, floor):
@@ -278,6 +291,15 @@ def watch_search(t, strategy):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(insetedge.search, "_walk", watched)
         return best_edge(t, strategy), walked, yielded
+
+
+def assert_skipped_pairs_lose(t, skipped):
+    """Each pair of skipped has a leaf end; with that leaf's one neighbour
+    in its place, the pair scores strictly more (ROADMAP item 18(a))."""
+    for pair in skipped:
+        x, y = pair if len(t.adjacency[pair[0]]) == 1 else pair[::-1]
+        inner = t.adjacency[x][0]
+        assert delta_direct(anatomize(t, x, y)) < delta_direct(anatomize(t, inner, y)), pair
 
 
 class TestChebyshevSkip:
@@ -296,9 +318,12 @@ class TestChebyshevSkip:
     def test_skips_only_pairs_below_the_running_best(self, strategy, t):
         # a pair the walk does not yield must score below the seed and the
         # best of the pairs yielded before it, so a tie is always scored;
-        # evaluated counts the pairs walked, yielded or not
+        # evaluated counts the pairs walked, yielded or not, and those the
+        # exhaustive walk steps over, each below its inner neighbour pair
         r, walked, yielded = watch_search(t, strategy)
-        assert r.evaluated == len(walked)
+        skipped = strategy_skips(t, strategy)
+        assert r.evaluated == len(walked) + len(skipped)
+        assert_skipped_pairs_lose(t, skipped)
         best = _seed(t, strategy == "pruned")[0]
         for u, v in walked:
             score = delta_direct(anatomize(t, u, v))
@@ -341,8 +366,11 @@ class TestChebyshevSkip:
         assert 20 * len(yielded) < len(walked)
 
     def test_skips_most_pairs_of_a_random_tree(self):
-        r, walked, yielded = watch_search(random_labeled_tree(80, 11), "exhaustive")
-        assert r.evaluated == len(walked)
+        t = random_labeled_tree(80, 11)
+        r, walked, yielded = watch_search(t, "exhaustive")
+        skipped = skipped_pairs(t)
+        assert skipped and r.evaluated == len(walked) + len(skipped)
+        assert_skipped_pairs_lose(t, skipped)
         assert len(yielded) < len(walked) // 4
 
     @pytest.mark.parametrize("strategy", ["exhaustive", "pruned"])
@@ -376,15 +404,28 @@ class TestSeed:
     @given(t=savings_trees().filter(lambda t: t.n >= 4))
     @settings(max_examples=60, deadline=None)
     def test_seed_is_a_walked_pair_at_most_the_best(self, strategy, t):
-        # the seed is the exact score of a pair the walk meets again, so it
-        # never rises above the best, and ties it only with a best pair
+        # the seed is the exact score of a pair the walk meets again, or
+        # steps over for a strictly better one, so it never rises above the
+        # best, and ties it only with a best pair
         seed, pair = _seed(t, strategy == "pruned")
         r = best_edge(t, strategy)
         assert 1 <= seed <= r.best_delta
         assert seed == delta_direct(anatomize(t, *pair))
-        assert pair in candidate_pairs(t, strategy)
+        if pair not in candidate_pairs(t, strategy):
+            assert pair in strategy_skips(t, strategy) and seed < r.best_delta
         if seed == r.best_delta:
             assert pair in r.best_pairs
+
+    def test_exhaustive_walk_steps_over_a_seed_pair(self):
+        # the path 5-0-3-2-4-1: its best diagonal is the whole path, whose
+        # leaf end 5 is rank 1, right after its parent 0, at distance 5
+        t = Tree.from_edges(6, [(0, 3), (0, 5), (1, 4), (2, 3), (2, 4)])
+        assert _seed(t, False) == (8, (1, 5))
+        assert (1, 5) in skipped_pairs(t) and (1, 5) not in candidate_pairs(t)
+        best_pairs, best, evaluated, pruned, _ = reference_search(t, "exhaustive")
+        r = best_edge(t)
+        assert (r.best_pairs, r.best_delta, r.evaluated, r.pruned) == (best_pairs, best, evaluated, pruned)
+        assert best == 9
 
     @pytest.mark.parametrize("strategy", ["exhaustive", "pruned"])
     @pytest.mark.parametrize("n", [4, 5, 6, 8, 9, 64])
@@ -517,7 +558,7 @@ class TestOracleStrategy:
     )
     def test_scores_every_walked_pair(self, monkeypatch, t):
         # the oracle scores every non-adjacent pair once and skips none: as
-        # many pairs as the exhaustive walk meets, and the same report
+        # many pairs as the closed count, and the exhaustive report
         calls = []
         oracle = insetedge.search.delta_oracle
 
@@ -527,7 +568,7 @@ class TestOracleStrategy:
 
         monkeypatch.setattr(insetedge.search, "delta_oracle", counting)
         r = best_edge(t, "oracle")
-        assert len(calls) == len(set(calls)) == r.evaluated == len(candidate_pairs(t))
+        assert len(calls) == len(set(calls)) == r.evaluated == _non_adjacent_count(t)
         exhaustive = best_edge(t)
         assert (r.best_pairs, r.best_delta) == (exhaustive.best_pairs, exhaustive.best_delta)
 
@@ -556,12 +597,17 @@ class TestOracleStrategy:
 
 def assert_pairs_match_walk(t):
     """oracle.non_adjacent_pairs, which reads only the adjacency, against
-    the closed count and the pairs the exhaustive walk meets: two
-    enumerations that share no code."""
+    the closed count and the pairs the exhaustive walk meets, which with
+    the pairs it steps over make up every pair: two enumerations that
+    share no code."""
     pairs = non_adjacent_pairs(t)
     assert pairs == sorted(pairs)
     assert len(pairs) == _non_adjacent_count(t)
-    assert set(pairs) == set(candidate_pairs(t))
+    walked = candidate_pairs(t)
+    skipped = skipped_pairs(t)
+    assert len(walked) == len(set(walked))
+    assert skipped.isdisjoint(walked)
+    assert set(pairs) == skipped.union(walked)
 
 
 class TestNonAdjacentPairs:
@@ -573,6 +619,92 @@ class TestNonAdjacentPairs:
     @DEEP_WALK_TREES
     def test_matches_deep_walks(self, t):
         assert_pairs_match_walk(t)
+
+
+def breadth_first(t, source):
+    """Distances from source by a breadth-first search of the adjacency,
+    which shares no code with the tree's depth-first passes."""
+    dist = [-1] * t.n
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for w in t.adjacency[u]:
+            if dist[w] < 0:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
+
+
+def assert_leaf_first(t):
+    """In the root-0 pass, the ranks w + 1 .. w + l(w) right after each rank
+    w are exactly its l(w) leaf children; each subtree is still the run of
+    ranks from its root, and bfs_distances still gives every distance."""
+    order, rank, parent, size, _, _ = t._root0
+    n = t.n
+    d0 = breadth_first(t, 0)
+    for w, v in enumerate(order):
+        children = [x for x in t.adjacency[v] if d0[x] == d0[v] + 1]
+        leaf_children = {x for x in children if len(t.adjacency[x]) == 1}
+        assert set(order[w + 1 : w + 1 + len(leaf_children)]) == leaf_children, v
+        dv = breadth_first(t, v)
+        assert bfs_distances(t, v) == dv
+        below = {x for x in range(n) if d0[x] == d0[v] + dv[x]}
+        assert set(order[w : w + size[w]]) == below, v
+
+
+class TestLeafFirstOrder:
+    @given(t=savings_trees())
+    @settings(max_examples=40, deadline=None)
+    def test_leaf_children_follow_their_parent(self, t):
+        assert_leaf_first(t)
+
+    @DEEP_WALK_TREES
+    def test_deep_walks(self, t):
+        assert_leaf_first(t)
+
+    def test_leaf_first_at_vertex_zero(self):
+        # a star's leaves follow its centre in adjacency order; the path
+        # 0-1-2 hung at 0 comes after 0's leaves 3 and 4
+        assert star_tree(6)._root0[0] == [0, 1, 2, 3, 4, 5]
+        t = Tree.from_edges(5, [(0, 1), (1, 2), (0, 3), (0, 4)])
+        assert t._root0[0] == [0, 3, 4, 1, 2]
+
+
+def assert_pruned_walk_is_the_rule(t):
+    """From a floor of -1 the pruned walk, which steps over the leaf
+    children at distances the rule drops, still yields each pair the rule
+    keeps, once."""
+    walked = candidate_pairs(t, "pruned")
+    assert len(walked) == len(set(walked)) == _kept_count(t)
+    assert set(walked) == set(kept_by_rule(t, non_adjacent_pairs(t)))
+
+
+class TestLeafJump:
+    @given(t=savings_trees().filter(lambda t: t.n >= 4))
+    @settings(max_examples=40, deadline=None)
+    def test_pruned_walk_yields_the_rules_pairs(self, t):
+        assert_pruned_walk_is_the_rule(t)
+
+    @DEEP_WALK_TREES
+    def test_pruned_deep_walks_yield_the_rules_pairs(self, t):
+        assert_pruned_walk_is_the_rule(t)
+
+    def test_exhaustive_walk_steps_over_leaves_at_odd_distances(self):
+        # P_9 on 0 .. 8 with five leaves hung at one end.  At 8 they come
+        # last in the root-0 preorder, so no pair has its earlier end at one
+        # of them, and the walk meets every pair
+        edges = [(i, i + 1) for i in range(8)]
+        t = Tree.from_edges(14, edges + [(8, v) for v in range(9, 14)])
+        assert skipped_pairs(t) == set()
+        assert sorted(candidate_pairs(t)) == non_adjacent_pairs(t)
+        # at 0 they are ranks 1 .. 5, and the walk from each path vertex at
+        # distance 5, 7 or 9 from them steps over all five at once
+        t = Tree.from_edges(14, edges + [(0, v) for v in range(9, 14)])
+        assert t._root0[0][:6] == [0, 9, 10, 11, 12, 13]
+        skipped = {(u, v) for u in (4, 6, 8) for v in range(9, 14)}
+        assert skipped_pairs(t) == skipped
+        assert sorted(candidate_pairs(t)) == sorted(set(non_adjacent_pairs(t)) - skipped)
 
 
 def maximizing_rows(n):
@@ -593,7 +725,7 @@ def family_pairs(t, rows):
     """Every pair of t whose cycle carries the family configuration of one
     of rows: hanging weights (w, 1, ..., 1, w') with {w, w'} = {w_x, w_y}."""
     pairs = []
-    for x, y in candidate_pairs(t):
+    for x, y in non_adjacent_pairs(t):
         a = anatomize(t, x, y)
         middle = () if a.middle is None else (a.weight_middle,)
         w = a.weights_x + middle + a.weights_y[::-1]
@@ -699,6 +831,54 @@ class TestPrunedCompleteness:
         for strategy in STRATEGIES:
             r = best_edge(t, strategy)
             assert (r.best_pairs, r.best_delta) == (((3, 7),), 65), strategy
+
+
+def exchange_gap(t, u, v):
+    """The exchange identity's side for the ordered pair (u, v) at distance
+    D >= 3, u's neighbour toward v, and the sizes s and weights w.  Rooted
+    at v, the path v = p_0, ..., p_D = u has sizes s_i, hanging weights w_i
+    = s_i - s_{i+1} (i < D) and w_D = s_D; with H = D // 2 the gap is w_D
+    (n - s_H) - sum_{i = H + 1}^{D - 1} w_i (n - s_{i - H})."""
+    path, sizes = _path_sizes(t, u, v)
+    s = sizes[::-1]
+    D = len(path) - 1
+    w = [a - b for a, b in zip(s, s[1:])] + [s[D]]
+    H = D // 2
+    n = t.n
+    gap = w[D] * (n - s[H]) - sum(w[i] * (n - s[i - H]) for i in range(H + 1, D))
+    return gap, path[1], s, w
+
+
+def exchange_trees():
+    random_trees = st.builds(random_labeled_tree, st.integers(4, 30), st.integers(0, 2**32))
+    spines = st.builds(spine_tree, st.integers(8, 30), st.integers(3, 8), st.integers(0, 2**32))
+    return st.one_of(random_trees, spines, st.builds(path_tree, st.integers(4, 30)))
+
+
+class TestExchangeIdentity:
+    # ROADMAP item 18: moving a path end one step in changes the savings by
+    # the gap, so a leaf end at an odd distance >= 5 is strictly beaten by
+    # its neighbour (the walk's exhaustive jump), and at distance 3 it ties
+    # the neighbour iff the weight there is 1
+    @given(t=exchange_trees())
+    @settings(max_examples=60, deadline=None)
+    def test_every_ordered_pair(self, t):
+        n = t.n
+        for v in range(n):
+            dist = bfs_distances(t, v)
+            for u in range(n):
+                D = dist[u]
+                if D < 3:
+                    continue
+                gap, inner, s, w = exchange_gap(t, u, v)
+                outer = delta_direct(anatomize(t, u, v))
+                assert outer - delta_direct(anatomize(t, inner, v)) == gap, (u, v)
+                # (a): u's subtree at most half its neighbour's, as a leaf's
+                if D % 2 and D >= 5 and 2 * s[D] <= s[D - 1]:
+                    assert gap < 0, (u, v)
+                # (b)
+                if D == 3:
+                    assert gap == (s[3] - w[2]) * (n - s[1]), (u, v)
 
 
 class TestPruningRatio:
